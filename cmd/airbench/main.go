@@ -40,7 +40,7 @@ func run(args []string, out io.Writer) error {
 	md := fs.Bool("md", false, "render tables as markdown instead of aligned text")
 	plot := fs.Bool("plot", false, "also render each table as an ASCII chart")
 	seed := fs.Int64("seed", 0, "seed override (0 = default)")
-	shards := fs.Int("shards", 0, "shards per simulation run; results depend on (seed, shards) only (0 = sequential)")
+	shards := fs.Int("shards", 0, "shards per simulation run; results depend on (seed, shards) only (0 and 1 = one request stream)")
 	engine := fs.String("engine", "", "request engine for every point: events (default) or cohort; results are bit-identical")
 	quiet := fs.Bool("quiet", false, "suppress per-point progress lines")
 	faultModel := fs.String("fault-model", "none", "apply an unreliable-channel error model to every point: none, iid, ge, drop")

@@ -347,6 +347,11 @@ func checkKnobScalar(k *knob, v Scalar) string {
 	if v.Bytes && !k.isBytes {
 		return fmt.Sprintf("unit mismatch: knob %s is dimensionless but the value has a byte unit", k.name)
 	}
+	// NaN passes every ordered bound check below and ±Inf slips past the
+	// unbounded ones, so reject both up front.
+	if math.IsNaN(v.Num) || math.IsInf(v.Num, 0) {
+		return fmt.Sprintf("knob %s: value %s is not a finite number", k.name, formatFloat(v.Num))
+	}
 	if k.isInt && v.Num != math.Trunc(v.Num) {
 		return fmt.Sprintf("knob %s takes an integer, not %s", k.name, formatFloat(v.Num))
 	}

@@ -51,6 +51,10 @@ EMIT csv(results/t.csv)
 			`t.airql:1:30: knob availability: value 2 above maximum 1`,
 			`t.airql:1:1: script has no TABLE and no EMIT; it would compute nothing`,
 		}},
+		{"not a finite number", `SET scheme=flat requestmean=0/0`, []string{
+			`t.airql:1:30: knob requestmean: value NaN is not a finite number`,
+			`t.airql:1:1: script has no TABLE and no EMIT; it would compute nothing`,
+		}},
 		{"unit mismatch", `SET scheme=flat zipfs=1KiB`, []string{
 			`t.airql:1:23: unit mismatch: knob zipfs is dimensionless but the value has a byte unit`,
 			`t.airql:1:1: script has no TABLE and no EMIT; it would compute nothing`,

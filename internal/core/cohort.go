@@ -5,42 +5,31 @@ import (
 
 	"github.com/airindex/airindex/internal/access"
 	"github.com/airindex/airindex/internal/cohort"
-	"github.com/airindex/airindex/internal/faults"
-	"github.com/airindex/airindex/internal/sim"
 )
 
 // This file is the columnar cohort engine (Config.Engine ==
-// EngineCohort): the batched counterpart of the event-driven paths in
-// simulator.go and engine.go, built to push 10⁶-client request
-// populations through the unchanged scheme implementations. The run is
-// organized exactly like the round-sharded engine's waves — one round of
-// RoundSize requests per still-active stream, merge, stopping rule — but
-// each round is a cohort.Batch: the stream pre-draws the round's
-// (arrival, key) pairs into columns in the precise RNG order the event
-// engine would have used, advances every lane with a batched kernel (or
-// the ordinary walkers, lane by lane, when per-stream fault state forces
-// arrival order), and folds the result columns into the same shardAccum
-// that engine.go merges. Merging a single stream's accumulator into an
-// empty Result is an exact copy, so the engines agree bit for bit at any
-// shard count; the differential tests in cohort_test.go pin that.
+// EngineCohort): the batched counterpart of the event engine in
+// engine.go, built to push 10⁶-client request populations through the
+// unchanged scheme implementations. It runs under the same wave driver
+// (Simulator.Run) — one round of RoundSize requests per still-active
+// stream, merge, stopping rule — but each round is a cohort.Batch: the
+// stream pre-draws the round's (arrival, key) pairs into columns in the
+// precise RNG order the event engine would have used, advances every
+// lane with a batched kernel (or the ordinary walkers, lane by lane, when
+// per-stream fault state forces arrival order), and folds the result
+// columns into the same shardAccum the driver merges. The engines
+// therefore agree bit for bit at any shard count; the differential tests
+// in cohort_test.go pin that.
 //
-// Unlike the sharded event engine the cohort engine is single-threaded:
-// its throughput comes from batching (closed-form access.Resolver
+// Its throughput comes from batching (closed-form access.Resolver
 // kernels, inlined walk loops, client-arena reuse, bulk Welford/P²
-// folds), not from goroutines, so determinism is structural.
+// folds). Streams run concurrently like the event engine's, sharing only
+// the immutable broadcast image; each stream owns its batch and clients.
 
-// cohortShard is one request stream of a cohort run: its own RNG
-// substream, fault substream, budget, and batch arena. With one stream
-// it reproduces the sequential path's request stream byte for byte; with
-// n > 1 it mirrors shardRunner's SplitMix substreams.
+// cohortShard is the cohort engine's stream: the shared stream state plus
+// its batch arena.
 type cohortShard struct {
-	idx    int
-	rng    *sim.RNG
-	zipf   func() int       // nil for the uniform workload
-	inj    *faults.Injector // stream's fault substream; nil on a perfect channel
-	budget int64            // request cap; stream budgets sum to MaxRequests
-	next   sim.Time         // the pending arrival time of the stream's next request
-	done   bool             // budget exhausted
+	stream
 
 	batch *cohort.Batch
 	// reuse is the stream's rewindable client for the lane-ordered
@@ -49,32 +38,14 @@ type cohortShard struct {
 	reuse  access.Client
 	curKey uint64
 	renew  func() access.Client
-
-	acc shardAccum
 }
 
-// newCohortShard builds stream i of n. The RNG, zipf, injector, budget
-// and first-arrival draw replicate newShardRunner's setup order exactly,
-// so the generated request stream is identical to the event engine's.
+// newCohortShard builds stream i of n for the cohort engine. newStream
+// is the event engine's setup too, so the generated request stream is
+// identical to the event engine's; the first arrival stays pending in
+// next.
 func (s *Simulator) newCohortShard(i, n int) *cohortShard {
-	rng := sim.NewRNG(s.cfg.Seed)
-	if n > 1 {
-		rng = sim.NewShardRNG(s.cfg.Seed, i)
-	}
-	sh := &cohortShard{
-		idx:    i,
-		rng:    rng,
-		inj:    s.newInjector(i),
-		budget: int64(s.cfg.MaxRequests / n),
-		batch:  cohort.New(),
-		acc:    newShardAccum(),
-	}
-	if i < s.cfg.MaxRequests%n {
-		sh.budget++
-	}
-	if s.cfg.ZipfS > 1 {
-		sh.zipf = rng.Zipf(s.cfg.ZipfS, s.ds.Len())
-	}
+	sh := &cohortShard{stream: s.newStream(i, n), batch: cohort.New()}
 	// One renew closure per stream, reused by every restart of every
 	// lane: the recovery walkers discard their old client reference
 	// before asking for a new one, so handing back the same rewound
@@ -90,10 +61,24 @@ func (s *Simulator) newCohortShard(i, n int) *cohortShard {
 		}
 		return c
 	}
-	// The event engine's setup schedules the first arrival before any
-	// key is drawn; the pending-arrival draw keeps that stream order.
-	sh.next = sh.rng.Exponential(s.cfg.RequestMean)
 	return sh
+}
+
+// round serves one round of the stream — RoundSize requests, or what is
+// left of its budget — as a single batch. Only a full batch advances the
+// round counter, matching the event engine's round boundary.
+func (sh *cohortShard) round(s *Simulator) error {
+	n := int(min(int64(s.cfg.RoundSize), sh.budget-sh.requests))
+	s.cohortGenerate(sh, n)
+	if err := s.cohortAdvance(sh); err != nil {
+		return err
+	}
+	s.foldCohort(sh)
+	if n == s.cfg.RoundSize {
+		sh.rounds++
+	}
+	sh.done = sh.requests >= sh.budget
+	return nil
 }
 
 // cohortGenerate pre-draws one round of requests into the batch columns.
@@ -108,7 +93,7 @@ func (s *Simulator) cohortGenerate(sh *cohortShard, n int) {
 	b.Reset(n)
 	for i := 0; i < n; i++ {
 		b.Arrival[i] = sh.next
-		b.Key[i] = s.pickKey(sh.rng, sh.zipf)
+		b.Key[i] = s.pickKey(&sh.stream)
 		sh.next += sh.rng.Exponential(s.cfg.RequestMean)
 	}
 }
@@ -132,10 +117,10 @@ func (s *Simulator) primeCohortClients(b *cohort.Batch) {
 // Fault-injected and multichannel batches share mutable per-stream state
 // (the corruption counter), so they walk lane by lane in arrival order
 // through the exact entry points the event engine uses.
-func (s *Simulator) cohortAdvance(sh *cohortShard, resolver access.Resolver) error {
+func (s *Simulator) cohortAdvance(sh *cohortShard) error {
 	b := sh.batch
 	if s.set == nil && sh.inj == nil {
-		if resolver != nil && b.ResolveLanes(resolver) {
+		if resolver, ok := s.bc.(access.Resolver); ok && b.ResolveLanes(resolver) {
 			return nil
 		}
 		s.primeCohortClients(b)
@@ -212,7 +197,7 @@ func (s *Simulator) cohortWalkLanes(sh *cohortShard) error {
 //airlint:hotpath
 func (s *Simulator) foldCohort(sh *cohortShard) {
 	b := sh.batch
-	a := &sh.acc
+	a := &sh.shardAccum
 	n := b.Len()
 	for i := 0; i < n; i++ {
 		if b.Found[i] {
@@ -242,79 +227,4 @@ func (s *Simulator) foldCohort(sh *cohortShard) {
 	a.accessP99.AddAll(b.AccessF)
 	a.tuningP95.AddAll(b.TuningF)
 	a.tuningP99.AddAll(b.TuningF)
-}
-
-// cohortAccums collects the streams' accumulators in index order for the
-// shared merge.
-func cohortAccums(shards []*cohortShard) []*shardAccum {
-	accs := make([]*shardAccum, len(shards))
-	for i, sh := range shards {
-		accs[i] = &sh.acc
-	}
-	return accs
-}
-
-// runCohort executes the run on the columnar engine, at any shard count
-// (Shards <= 1 is a single stream reproducing the sequential path). The
-// control flow mirrors runSharded wave for wave: each active stream runs
-// one round — capped at its remaining budget, with the event engine's
-// post-request budget check meaning even a zero-budget stream serves one
-// request — then the merged sample faces the stopping rule on a complete
-// wave and the cap rule otherwise.
-func (s *Simulator) runCohort() (*Result, error) {
-	resolver, _ := s.bc.(access.Resolver)
-	n := s.cfg.Shards
-	if n < 1 {
-		n = 1
-	}
-	shards := make([]*cohortShard, n)
-	for i := range shards {
-		shards[i] = s.newCohortShard(i, n)
-	}
-
-	for {
-		anyActive := false
-		waveComplete := true
-		for _, sh := range shards {
-			if sh.done {
-				continue
-			}
-			anyActive = true
-			rem := sh.budget - sh.acc.requests
-			if rem < 1 {
-				rem = 1 // post-request budget check: a zero-budget stream still serves one
-			}
-			batchN := s.cfg.RoundSize
-			if int64(batchN) > rem {
-				batchN = int(rem)
-				waveComplete = false
-			}
-			s.cohortGenerate(sh, batchN)
-			if err := s.cohortAdvance(sh, resolver); err != nil {
-				return nil, err
-			}
-			s.foldCohort(sh)
-			if batchN == s.cfg.RoundSize {
-				sh.acc.rounds++
-			}
-			if sh.acc.requests >= sh.budget {
-				sh.done = true
-			}
-		}
-		if !anyActive {
-			break // every stream exhausted its budget without converging
-		}
-		merged := s.mergeShards(cohortAccums(shards))
-		if waveComplete && s.accuracyMet(merged) && merged.Requests >= int64(s.cfg.MinRequests) {
-			merged.Converged = true
-			return merged, nil
-		}
-		if merged.Requests >= int64(s.cfg.MaxRequests) {
-			merged.Converged = s.accuracyMet(merged) && merged.Requests >= int64(s.cfg.MinRequests)
-			return merged, nil
-		}
-	}
-	final := s.mergeShards(cohortAccums(shards))
-	final.Converged = s.accuracyMet(final) && final.Requests >= int64(s.cfg.MinRequests)
-	return final, nil
 }

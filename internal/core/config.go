@@ -15,6 +15,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/airindex/airindex/internal/datagen"
 	"github.com/airindex/airindex/internal/faults"
@@ -62,8 +63,8 @@ type Config struct {
 	// Seed makes the run reproducible.
 	Seed int64
 
-	// Engine selects the request engine. EngineEvents ("" or "events")
-	// is the reference event-driven path (runSequential / runSharded);
+	// Engine selects how each request stream serves its rounds.
+	// EngineEvents ("" or "events") is the reference event-driven engine;
 	// EngineCohort ("cohort") is the batched columnar engine, which
 	// advances whole rounds of requests through struct-of-arrays kernels
 	// and closed-form resolvers while reproducing the reference engine's
@@ -74,15 +75,15 @@ type Config struct {
 	Engine string
 
 	// Shards splits the accuracy-control rounds across this many
-	// independent event loops, each drawing its arrival process from the
-	// SplitMix substream splitmix(Seed, shard) against the shared
+	// independent request streams, each drawing its arrival process from
+	// the SplitMix substream splitmix(Seed, shard) against the shared
 	// immutable broadcast image. The stopping rule is applied to the
 	// merged sample after every wave of rounds, so a run's Result is a
 	// pure function of (Seed, Shards) — bit-identical regardless of
 	// GOMAXPROCS or goroutine scheduling. The field must be
-	// non-negative; 0 and 1 are equivalent and both select the
-	// sequential single-stream path, whose request stream matches
-	// pre-sharding runs.
+	// non-negative; 0 and 1 are equivalent and both run a single stream
+	// seeded with Seed itself, whose request stream matches pre-sharding
+	// runs.
 	Shards int
 
 	// BitErrorRate corrupts each bucket read independently with this
@@ -165,16 +166,18 @@ func (c Config) Validate() error {
 	if err := c.Data.Validate(); err != nil {
 		return err
 	}
+	// Every float range check is written so that NaN fails it, and the
+	// open-ended ones reject +Inf.
 	switch {
-	case c.Availability < 0 || c.Availability > 1:
+	case !(0 <= c.Availability && c.Availability <= 1):
 		return fmt.Errorf("core: availability %v outside [0,1]", c.Availability)
-	case c.RequestMean <= 0:
-		return fmt.Errorf("core: request mean %v must be positive", c.RequestMean)
+	case !(0 < c.RequestMean && c.RequestMean <= math.MaxFloat64):
+		return fmt.Errorf("core: request mean %v must be positive and finite", c.RequestMean)
 	case c.RoundSize < 2:
 		return fmt.Errorf("core: round size %d must be at least 2", c.RoundSize)
-	case c.Confidence <= 0 || c.Confidence >= 1:
+	case !(0 < c.Confidence && c.Confidence < 1):
 		return fmt.Errorf("core: confidence %v outside (0,1)", c.Confidence)
-	case c.Accuracy <= 0 || c.Accuracy >= 1:
+	case !(0 < c.Accuracy && c.Accuracy < 1):
 		return fmt.Errorf("core: accuracy %v outside (0,1)", c.Accuracy)
 	case c.MaxRequests < c.RoundSize:
 		return fmt.Errorf("core: max requests %d below one round of %d", c.MaxRequests, c.RoundSize)
@@ -183,17 +186,17 @@ func (c Config) Validate() error {
 		// every engine, so this configuration silently makes Converged
 		// unreachable instead of doing what it says.
 		return fmt.Errorf("core: min requests %d exceeds max requests %d; the request cap would always fire before the stopping rule could hold", c.MinRequests, c.MaxRequests)
-	case c.BitErrorRate < 0 || c.BitErrorRate >= 1:
+	case !(0 <= c.BitErrorRate && c.BitErrorRate < 1):
 		return fmt.Errorf("core: bit error rate %v outside [0,1)", c.BitErrorRate)
-	case c.ZipfS != 0 && c.ZipfS <= 1:
-		return fmt.Errorf("core: zipf exponent %v must exceed 1 (or be 0 for uniform)", c.ZipfS)
+	case c.ZipfS != 0 && !(1 < c.ZipfS && c.ZipfS <= math.MaxFloat64):
+		return fmt.Errorf("core: zipf exponent %v must be finite and exceed 1 (or be 0 for uniform)", c.ZipfS)
 	case c.ZipfS > 1 && c.Data.NumRecords < 2:
 		return fmt.Errorf("core: zipf workload (s=%v) needs at least 2 records, have %d: rank generation is undefined for a single record", c.ZipfS, c.Data.NumRecords)
 	case c.Shards < 0:
-		return fmt.Errorf("core: shards %d must be non-negative (0 and 1 both select the sequential single-stream path)", c.Shards)
+		return fmt.Errorf("core: shards %d must be non-negative (0 and 1 both run a single request stream)", c.Shards)
 	case c.Shards > c.MaxRequests:
 		return fmt.Errorf("core: shards %d exceeds max requests %d; every shard needs at least one request of budget", c.Shards, c.MaxRequests)
-	case c.DozePowerRatio < 0 || c.DozePowerRatio > 1:
+	case !(0 <= c.DozePowerRatio && c.DozePowerRatio <= 1):
 		return fmt.Errorf("core: doze power ratio %v outside [0,1]", c.DozePowerRatio)
 	}
 	if err := c.Faults.Validate(); err != nil {

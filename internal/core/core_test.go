@@ -7,6 +7,7 @@ import (
 
 	"github.com/airindex/airindex/internal/access"
 	"github.com/airindex/airindex/internal/datagen"
+	"github.com/airindex/airindex/internal/faults"
 )
 
 // smallConfig keeps unit-test runs fast.
@@ -41,6 +42,21 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		func(c *Config) { c.Engine = "columnar" },
 		func(c *Config) { c.Engine = EngineCohort; c.BitErrorRate = 0.1 },
 		func(c *Config) { c.ZipfS = 1.5; c.Data.NumRecords = 1 },
+	}
+	// NaN fails every range check, and ±Inf is out of every range.
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		mutations = append(mutations,
+			func(c *Config) { c.Availability = v },
+			func(c *Config) { c.RequestMean = v },
+			func(c *Config) { c.Confidence = v },
+			func(c *Config) { c.Accuracy = v },
+			func(c *Config) { c.BitErrorRate = v },
+			func(c *Config) { c.ZipfS = v },
+			func(c *Config) { c.DozePowerRatio = v },
+			func(c *Config) { c.Faults = faults.Config{Model: faults.ModelDrop, DropRate: v} },
+			func(c *Config) { c.Faults = faults.Config{Model: faults.ModelIID, BER: v} },
+			func(c *Config) { c.Faults = faults.Config{Model: faults.ModelGilbertElliott, ErrBad: v} },
+		)
 	}
 	for i, mutate := range mutations {
 		cfg := DefaultConfig("flat", 100)

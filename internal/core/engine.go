@@ -9,33 +9,32 @@ import (
 	"github.com/airindex/airindex/internal/stats"
 )
 
-// This file is the round-sharded simulation engine — one of the two
-// sanctioned concurrency sites in the repository (the other is the
-// experiment harness's parallel.go; the airlint confinement analyzer
-// rejects goroutines anywhere else).
+// This file is the run driver — one of the sanctioned concurrency sites
+// in the repository (the others are the scenario compiler's
+// internal/airql/parallel.go and the live daemon in internal/aircast;
+// the airlint confinement analyzer rejects goroutines anywhere else).
 //
 // The paper's stopping rule (§4.1) runs the simulation in rounds of
 // RoundSize requests and stops when the confidence half-width of the
 // accumulated sample is small enough. Requests are independent processes
 // over a deterministic periodic schedule, so rounds can run concurrently:
-// each shard drives its own event loop and arrival process from the RNG
-// substream splitmix(Seed, shard) against the shared immutable broadcast
-// image. After every wave — one round per still-active shard — the engine
-// merges the per-shard samples (parallel Welford for moments, weighted
-// marker-CDF merge for the P² tails) and applies the stopping rule to the
-// merged sample.
+// each stream draws its arrival process from its own RNG substream
+// against the shared immutable broadcast image. After every wave — one
+// round per still-active stream — the driver merges the per-stream
+// samples (parallel Welford for moments, weighted marker-CDF merge for
+// the P² tails) and applies the stopping rule to the merged sample. The
+// event engine (below) and the cohort engine (cohort.go) are two ways to
+// serve one stream's round; the wave loop is the same for both.
 //
-// Determinism: a shard's state is a pure function of (Seed, shard) and
-// the wave count, goroutines never touch another shard's state, and the
-// merge walks shards in index order — so the Result is bit-identical for
+// Determinism: a stream's state is a pure function of (Seed, shard) and
+// the wave count, goroutines never touch another stream's state, and the
+// merge walks streams in index order — so the Result is bit-identical for
 // a given (Seed, Shards) pair regardless of GOMAXPROCS or scheduling.
 
-// shardAccum is one request stream's result accumulator. It is shared
-// by the event-driven shard runner and the cohort engine's per-shard
-// driver: both fold completed requests through addResult in arrival
-// order, so a merged Result depends only on the request streams, never
-// on which engine produced them (the cohort differential tests pin
-// exactly this).
+// shardAccum is one request stream's result accumulator. Both engines
+// fold completed requests into it in arrival order, so a merged Result
+// depends only on the request streams, never on which engine produced
+// them (the cohort differential tests pin exactly this).
 type shardAccum struct {
 	requests, found, notFound int64
 	restarts                  int64
@@ -44,7 +43,6 @@ type shardAccum struct {
 	switches                  int64
 	switchWait                int64
 	rounds                    int
-	inRound                   int
 	events                    int64 // engine events attributed to this stream
 
 	access, tuning, energy, probes stats.Sample
@@ -62,10 +60,9 @@ func newShardAccum() shardAccum {
 	}
 }
 
-// addResult folds one completed request into the accumulator, in the
-// exact field order the sequential result handler uses — Welford and P²
-// updates are order-sensitive, so this ordering is part of the
-// determinism contract.
+// addResult folds one completed request into the accumulator. Welford
+// and P² updates are order-sensitive, so the field order here is part of
+// the determinism contract; the cohort engine's bulk fold reproduces it.
 //
 //airlint:hotpath
 func (a *shardAccum) addResult(r *access.MultiResult, dozeRatio float64) {
@@ -92,58 +89,159 @@ func (a *shardAccum) addResult(r *access.MultiResult, dozeRatio float64) {
 	a.tuningP99.Add(float64(r.Tuning))
 }
 
-// shardRunner is one shard's private slice of a run: its own event loop,
-// RNG substream, arrival process and accumulators. A wave's goroutine
-// touches exactly one shardRunner; the wave barrier is the only
-// synchronization.
-type shardRunner struct {
-	idx    int
+// stream is one request stream's private slice of a run, common to both
+// engines: its RNG substream, arrival skew, fault substream, budget and
+// accumulator. A wave's goroutine touches exactly one stream; the wave
+// barrier is the only synchronization.
+type stream struct {
 	rng    *sim.RNG
 	zipf   func() int       // nil for the uniform workload
-	inj    *faults.Injector // shard's fault substream; nil on a perfect channel
-	eng    *sim.Simulator
-	budget int64 // request cap; shard budgets sum to MaxRequests
-
-	done    bool  // budget exhausted; queue drained
-	walkErr error // request-process failure, first wins by index
-	runErr  error // event-loop result for the current wave
+	inj    *faults.Injector // stream's fault substream; nil on a perfect channel
+	budget int64            // request cap; stream budgets sum to MaxRequests
+	next   sim.Time         // pending arrival; the event engine only queues the first one
+	done   bool             // budget exhausted
 
 	shardAccum
 }
 
-// newShardRunner builds shard i of n for the run. A single shard reuses
-// the base seed directly so that a one-shard engine run reproduces the
-// sequential path's request stream byte for byte; multiple shards draw
-// from SplitMix substreams.
-func (s *Simulator) newShardRunner(i, n int) *shardRunner {
+// base gives the wave driver the shared stream state of either engine's
+// stream type.
+func (st *stream) base() *stream { return st }
+
+// newStream builds stream i of n. A single stream reuses the base seed
+// directly, so a one-shard run keeps the request stream of runs made
+// before sharding existed; multiple streams draw from SplitMix
+// substreams. The first arrival is drawn before any key, the order the
+// event engine's setup has always used.
+func (s *Simulator) newStream(i, n int) stream {
 	rng := sim.NewRNG(s.cfg.Seed)
 	if n > 1 {
 		rng = sim.NewShardRNG(s.cfg.Seed, i)
 	}
-	sh := &shardRunner{
-		idx:        i,
+	st := stream{
 		rng:        rng,
 		inj:        s.newInjector(i),
-		eng:        sim.New(),
 		budget:     int64(s.cfg.MaxRequests / n),
 		shardAccum: newShardAccum(),
 	}
 	if i < s.cfg.MaxRequests%n {
-		sh.budget++
+		st.budget++
 	}
 	if s.cfg.ZipfS > 1 {
-		sh.zipf = rng.Zipf(s.cfg.ZipfS, s.ds.Len())
+		st.zipf = rng.Zipf(s.cfg.ZipfS, s.ds.Len())
 	}
-	sh.eng.After(sh.rng.Exponential(s.cfg.RequestMean), s.shardArrival(sh))
+	st.next = rng.Exponential(s.cfg.RequestMean)
+	return st
+}
+
+// roundServer is one engine's way to advance a stream: round serves the
+// stream's next round, or what is left of its budget, and marks the
+// stream done once the budget is spent.
+type roundServer interface {
+	base() *stream
+	round(s *Simulator) error
+}
+
+// Run executes the simulation until the accuracy controller is satisfied
+// (both access-time and tuning-time samples within the configured
+// confidence accuracy, and at least MinRequests served) or MaxRequests is
+// reached.
+//
+// The run is max(Shards, 1) request streams advanced in waves. Each wave
+// serves one round per still-active stream concurrently, then merges the
+// streams in index order. The stopping rule only fires on a complete wave
+// — every stream that started it finished a full round, so the merged
+// sample is a whole number of rounds per stream — or on the cap exit,
+// where the final wave may end mid-round but the sample is complete
+// either way. Config.Engine picks how a stream serves a round: the event
+// engine below, or the batched columnar engine (cohort.go), which
+// reproduces the same Result bit for bit.
+func (s *Simulator) Run() (*Result, error) {
+	n := max(s.cfg.Shards, 1)
+	streams := make([]roundServer, n)
+	accs := make([]*shardAccum, n)
+	for i := range streams {
+		if s.cfg.useCohort() {
+			streams[i] = s.newCohortShard(i, n)
+		} else {
+			streams[i] = s.newShardRunner(i, n)
+		}
+		accs[i] = &streams[i].base().shardAccum
+	}
+	startRounds := make([]int, n)
+	errs := make([]error, n)
+	for {
+		var active []int
+		for i, st := range streams {
+			if !st.base().done {
+				active = append(active, i)
+				startRounds[i] = st.base().rounds
+			}
+		}
+		var wg sync.WaitGroup
+		for _, i := range active {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[i] = streams[i].round(s)
+			}()
+		}
+		wg.Wait()
+
+		waveComplete := true
+		for _, i := range active {
+			if errs[i] != nil {
+				return nil, errs[i]
+			}
+			if streams[i].base().rounds == startRounds[i] {
+				waveComplete = false
+			}
+		}
+		merged := s.mergeShards(accs)
+		// Stream budgets sum to MaxRequests, so the cap exit fires in the
+		// wave that exhausts the last stream.
+		capped := merged.Requests >= int64(s.cfg.MaxRequests)
+		if !waveComplete && !capped {
+			continue
+		}
+		merged.Converged = s.accuracyMet(merged) && merged.Requests >= int64(s.cfg.MinRequests)
+		if merged.Converged || capped {
+			return merged, nil
+		}
+	}
+}
+
+// shardRunner is the event engine's stream: its own event loop over the
+// stream's arrival process.
+type shardRunner struct {
+	stream
+	eng     *sim.Simulator
+	inRound int   // requests served since the last round boundary
+	walkErr error // request-process failure; stops the event loop
+}
+
+// newShardRunner builds stream i of n for the event engine and queues its
+// first arrival.
+func (s *Simulator) newShardRunner(i, n int) *shardRunner {
+	sh := &shardRunner{stream: s.newStream(i, n), eng: sim.New()}
+	sh.eng.After(sh.next, s.shardArrival(sh))
 	return sh
 }
 
-// shardArrival returns the shard's self-rescheduling arrival callback.
-// The callback mirrors the sequential loop's order of operations —
-// request, accumulate, round boundary, budget check, next draw — so that
-// a one-shard run consumes the RNG stream identically. At a round
-// boundary it schedules the next arrival and then stops the loop, leaving
-// the pending arrival queued for the next wave.
+// round runs the stream's event loop until the arrival callback stops it
+// at a round boundary or the budget drains the queue.
+func (sh *shardRunner) round(*Simulator) error {
+	if err := sh.eng.Run(0); err != nil && err != sim.ErrStopped {
+		return err
+	}
+	sh.events = sh.eng.Processed
+	return sh.walkErr
+}
+
+// shardArrival returns the stream's self-rescheduling arrival callback:
+// request, accumulate, round boundary, budget check, next draw. At a
+// round boundary it schedules the next arrival and then stops the loop,
+// leaving the pending arrival queued for the next wave.
 //
 //airlint:hotpath
 func (s *Simulator) shardArrival(sh *shardRunner) func(*sim.Simulator) {
@@ -151,8 +249,8 @@ func (s *Simulator) shardArrival(sh *shardRunner) func(*sim.Simulator) {
 	var arrive func(*sim.Simulator)
 	//airlint:allow escapecheck one arrival closure per shard, heap-allocated at setup and reused every event
 	arrive = func(eng *sim.Simulator) { //airlint:allow hotalloc one arrival closure per shard, allocated at setup and reused every event
-		key := s.pickKey(sh.rng, sh.zipf)
-		r, err := s.runRequest(sh.rng, sh.inj, key, eng.Now())
+		key := s.pickKey(&sh.stream)
+		r, err := s.runRequest(&sh.stream, key, eng.Now())
 		if err != nil {
 			sh.walkErr = err
 			eng.Stop()
@@ -179,101 +277,9 @@ func (s *Simulator) shardArrival(sh *shardRunner) func(*sim.Simulator) {
 	return arrive
 }
 
-// runSharded executes the run as waves of concurrent rounds. It is also
-// valid for Shards <= 1 (the differential tests drive it directly), where
-// it reproduces the sequential path's Result exactly.
-func (s *Simulator) runSharded() (*Result, error) {
-	n := s.cfg.Shards
-	if n < 1 {
-		n = 1
-	}
-	shards := make([]*shardRunner, n)
-	for i := range shards {
-		shards[i] = s.newShardRunner(i, n)
-	}
-
-	for {
-		var active []*shardRunner
-		for _, sh := range shards {
-			if !sh.done {
-				active = append(active, sh)
-			}
-		}
-		if len(active) == 0 {
-			break // every shard exhausted its budget without converging
-		}
-		startRounds := make([]int, len(active))
-		for i, sh := range active {
-			startRounds[i] = sh.rounds
-		}
-
-		var wg sync.WaitGroup
-		for _, sh := range active {
-			wg.Add(1)
-			go func(sh *shardRunner) {
-				defer wg.Done()
-				sh.runErr = sh.eng.Run(0)
-			}(sh)
-		}
-		wg.Wait()
-
-		for _, sh := range active {
-			if sh.runErr != nil && sh.runErr != sim.ErrStopped {
-				return nil, sh.runErr
-			}
-			if sh.walkErr != nil {
-				return nil, sh.walkErr
-			}
-		}
-
-		merged := s.mergeShards(runnerAccums(shards))
-		// The stopping rule only fires on a complete wave: every shard
-		// that started the wave finished a full round, so the merged
-		// sample is a whole number of rounds per shard — the sharded
-		// analogue of the sequential rule's round boundary.
-		waveComplete := true
-		for i, sh := range active {
-			if sh.rounds == startRounds[i] {
-				waveComplete = false
-			}
-		}
-		if waveComplete && s.accuracyMet(merged) && merged.Requests >= int64(s.cfg.MinRequests) {
-			merged.Converged = true
-			return merged, nil
-		}
-		if merged.Requests >= int64(s.cfg.MaxRequests) {
-			// Bugfix: the stopping rule also applies on the
-			// budget-exhaustion exit. A final wave cut short mid-round
-			// (some shard's budget is not a whole number of rounds)
-			// never sets waveComplete, but a merged sample that meets
-			// the accuracy rule at the cap has converged all the same.
-			// The samples are untouched — only the verdict changes —
-			// and the sequential path applies the identical rule on its
-			// own cap exit, keeping the one-shard identity exact.
-			merged.Converged = s.accuracyMet(merged) && merged.Requests >= int64(s.cfg.MinRequests)
-			return merged, nil
-		}
-	}
-	final := s.mergeShards(runnerAccums(shards))
-	final.Converged = s.accuracyMet(final) && final.Requests >= int64(s.cfg.MinRequests)
-	return final, nil
-}
-
-// runnerAccums snapshots each runner's accumulator, in shard-index
-// order, attributing the shard's processed event count to its stream.
-func runnerAccums(shards []*shardRunner) []*shardAccum {
-	accs := make([]*shardAccum, len(shards))
-	for i, sh := range shards {
-		sh.events = sh.eng.Processed
-		accs[i] = &sh.shardAccum
-	}
-	return accs
-}
-
 // mergeShards folds every stream's accumulators, in index order, into a
 // fresh Result. Rebuilding from scratch at each wave barrier keeps the
-// merged state a pure function of the per-stream states; the cohort
-// engine reuses exactly this merge so the two engines cannot drift.
+// merged state a pure function of the per-stream states.
 func (s *Simulator) mergeShards(accs []*shardAccum) *Result {
 	res := &Result{
 		Scheme:     s.cfg.Scheme,

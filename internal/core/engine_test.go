@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
@@ -10,51 +11,43 @@ import (
 	"github.com/airindex/airindex/internal/faults"
 )
 
-// runSharded drives a fresh simulator's sharded engine for cfg directly,
-// so tests can compare it against the public sequential path.
-func runShardedFresh(t *testing.T, cfg Config) *Result {
-	t.Helper()
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.runSharded()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
-}
-
-// TestOneShardMatchesSequential is the differential anchor of the sharded
-// engine: with a single shard it must reproduce the sequential path's
-// Result byte for byte — same request stream, same accumulators, same
-// tail estimates, same event count — across the uniform, faulty-channel
-// and Zipf workloads.
+// TestOneShardMatchesSequential pins the one-stream request order: a
+// one-shard run — with Shards 0 or 1, which are equivalent — must
+// reproduce the Results of the original single-stream sequential
+// controller, which the golden file recorded for these variants, across
+// the uniform, legacy bit-error, Zipf, partial-availability and both
+// fault-model workloads.
 func TestOneShardMatchesSequential(t *testing.T) {
-	cases := map[string]func(*Config){
-		"uniform":      func(c *Config) {},
-		"faulty":       func(c *Config) { c.BitErrorRate = 0.1 },
-		"zipf":         func(c *Config) { c.ZipfS = 1.3 },
-		"partialavail": func(c *Config) { c.Availability = 0.7 },
-		"faults-drop":  func(c *Config) { c.Faults = faults.FromRate(faults.ModelDrop, 0.05) },
-		"faults-ge": func(c *Config) {
+	cases := map[string]struct {
+		golden string
+		mutate func(*Config)
+	}{
+		"uniform":      {"distributed", func(c *Config) {}},
+		"faulty":       {"distributed/legacy-ber", func(c *Config) { c.BitErrorRate = 0.1 }},
+		"zipf":         {"distributed/zipf", func(c *Config) { c.ZipfS = 1.3 }},
+		"partialavail": {"distributed/partialavail", func(c *Config) { c.Availability = 0.7 }},
+		"faults-drop":  {"distributed/faults-drop", func(c *Config) { c.Faults = faults.FromRate(faults.ModelDrop, 0.05) }},
+		"faults-ge": {"distributed/faults-ge", func(c *Config) {
 			c.Faults = faults.FromRate(faults.ModelGilbertElliott, 0.4)
 			c.Faults.Recovery = faults.RecoverNextCycle
 			c.Faults.MaxRetries = 4
-		},
+		}},
 	}
-	for name, mutate := range cases {
+	golden := readGolden(t)
+	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
-			cfg := smallConfig("distributed", 300)
-			cfg.Shards = 1
-			mutate(&cfg)
-			seq, err := RunOne(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sharded := runShardedFresh(t, cfg)
-			if !reflect.DeepEqual(seq, sharded) {
-				t.Fatalf("one-shard engine diverged from sequential path:\nseq:     %+v\nsharded: %+v", seq, sharded)
+			key := tc.golden + "/shards=1/events"
+			for _, shards := range []int{0, 1} {
+				cfg := smallConfig("distributed", 300)
+				cfg.Shards = shards
+				tc.mutate(&cfg)
+				res, err := RunOne(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := formatGolden(key, res); got != golden[key] {
+					t.Fatalf("shards=%d diverged from the sequential stream:\nwant: %s\ngot:  %s", shards, golden[key], got)
+				}
 			}
 		})
 	}
@@ -99,30 +92,66 @@ func TestFourShardsAgreeWithinAccuracy(t *testing.T) {
 
 // TestShardedDeterministicAcrossGOMAXPROCS pins the determinism contract:
 // for a fixed (seed, shards) pair the Result is bit-identical however
-// many OS threads schedule the shard goroutines, and across repeat runs.
+// many OS threads schedule the stream goroutines, and across repeat runs,
+// on both engines.
 func TestShardedDeterministicAcrossGOMAXPROCS(t *testing.T) {
-	cfg := smallConfig("distributed", 300)
-	cfg.Shards = 4
-	prev := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(prev)
-	narrow, err := RunOne(cfg)
-	if err != nil {
-		t.Fatal(err)
+	for _, engine := range []string{EngineEvents, EngineCohort} {
+		t.Run(engine, func(t *testing.T) {
+			cfg := smallConfig("distributed", 300)
+			cfg.Shards = 4
+			cfg.Engine = engine
+			prev := runtime.GOMAXPROCS(1)
+			defer runtime.GOMAXPROCS(prev)
+			narrow, err := RunOne(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runtime.GOMAXPROCS(8)
+			wide, err := RunOne(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			repeat, err := RunOne(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(narrow, wide) {
+				t.Fatalf("GOMAXPROCS changed the sharded result:\n1: %+v\n8: %+v", narrow, wide)
+			}
+			if !reflect.DeepEqual(wide, repeat) {
+				t.Fatal("repeat sharded run differed")
+			}
+		})
 	}
-	runtime.GOMAXPROCS(8)
-	wide, err := RunOne(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	repeat, err := RunOne(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(narrow, wide) {
-		t.Fatalf("GOMAXPROCS changed the sharded result:\n1: %+v\n8: %+v", narrow, wide)
-	}
-	if !reflect.DeepEqual(wide, repeat) {
-		t.Fatal("repeat sharded run differed")
+}
+
+// TestRunIdempotent: a Simulator keeps no state between runs — every
+// stream is rebuilt from (Seed, shard) — so calling Run twice on one
+// instance returns identical Results on both engines at any shard count.
+func TestRunIdempotent(t *testing.T) {
+	for _, engine := range []string{EngineEvents, EngineCohort} {
+		for _, shards := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/shards=%d", engine, shards), func(t *testing.T) {
+				cfg := smallConfig("distributed", 300)
+				cfg.Engine = engine
+				cfg.Shards = shards
+				s, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				first, err := s.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				second, err := s.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(first, second) {
+					t.Fatalf("second Run on the same Simulator differed:\nfirst:  %+v\nsecond: %+v", first, second)
+				}
+			})
+		}
 	}
 }
 

@@ -96,27 +96,21 @@ func TestMultiRunDeterministic(t *testing.T) {
 	}
 }
 
-// TestMultiShardedMatchesSequentialShape: the sharded engine accumulates
-// the hop counters; one shard must match the sequential path exactly.
+// TestMultiShardedMatchesSequentialShape: the wave driver accumulates the
+// hop counters; one shard must reproduce the multichannel Result the
+// original sequential controller recorded in the golden file.
 func TestMultiShardedMatchesSequentialShape(t *testing.T) {
 	cfg := smallConfig("(1,m)", 300)
 	cfg.Multi = multichannel.Config{Channels: 2}
-	seq, err := RunOne(cfg)
+	res, err := RunOne(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
+	key := "(1,m)/multi-k2/shards=1/events"
+	if want, got := readGolden(t)[key], formatGolden(key, res); got != want {
+		t.Fatalf("one-shard multichannel run diverged from the sequential stream:\nwant: %s\ngot:  %s", want, got)
 	}
-	sharded, err := s.runSharded()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seq, sharded) {
-		t.Fatalf("one-shard engine diverged from the sequential multichannel path:\nseq:     %+v\nsharded: %+v", seq, sharded)
-	}
-	if seq.Switches == 0 {
+	if res.Switches == 0 {
 		t.Fatal("K=2 (1,m) run recorded no channel switches; hopping is not exercised")
 	}
 }

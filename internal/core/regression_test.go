@@ -117,30 +117,18 @@ func TestShardedCapExitAppliesStoppingRule(t *testing.T) {
 }
 
 // TestCapExitOneShardIdentity pins the symmetry of the fix: applying
-// the stopping rule on both engines' cap exits must preserve the
-// one-shard differential identity even when the cap lands mid-round —
-// the samples are bit-identical, so the verdicts are too.
+// the stopping rule on the cap exit must preserve the one-shard
+// differential identity between the event and cohort engines even when
+// the cap lands mid-round — the samples are bit-identical, so the
+// verdicts are too.
 func TestCapExitOneShardIdentity(t *testing.T) {
 	cfg := capConfig(0.1)
 	cfg.Shards = 1
-	seq, err := RunOne(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded := runShardedFresh(t, cfg)
-	if !reflect.DeepEqual(seq, sharded) {
-		t.Fatalf("cap-exit run diverged between engines:\nseq:     %+v\nsharded: %+v", seq, sharded)
-	}
-	if !seq.Converged {
+	events, cohort := runEngines(t, cfg)
+	if !events.Converged {
 		t.Fatal("cap-exit run should converge under the loose accuracy target")
 	}
-	coh := cfg
-	coh.Engine = EngineCohort
-	cohres, err := RunOne(coh)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seq, cohres) {
-		t.Fatalf("cap-exit run diverged between event and cohort engines:\nevents: %+v\ncohort: %+v", seq, cohres)
+	if !reflect.DeepEqual(events, cohort) {
+		t.Fatalf("cap-exit run diverged between event and cohort engines:\nevents: %+v\ncohort: %+v", events, cohort)
 	}
 }

@@ -64,12 +64,10 @@ type Result struct {
 // server's channel, the request generator and the result handler, exactly
 // mirroring the object architecture of the paper's Figure 3.
 type Simulator struct {
-	cfg  Config
-	ds   *datagen.Dataset
-	bc   access.Broadcast
-	set  *multichannel.Set // K-channel allocation; nil on the single-channel path
-	rng  *sim.RNG
-	zipf func() int // nil for the uniform workload
+	cfg Config
+	ds  *datagen.Dataset
+	bc  access.Broadcast
+	set *multichannel.Set // K-channel allocation; nil on the single-channel path
 }
 
 // New validates the configuration, generates the data source and lets the
@@ -86,7 +84,7 @@ func New(cfg Config) (*Simulator, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Simulator{cfg: cfg, ds: ds, bc: bc, rng: sim.NewRNG(cfg.Seed)}
+	s := &Simulator{cfg: cfg, ds: ds, bc: bc}
 	if cfg.Multi.Enabled() {
 		mcfg := cfg.Multi
 		if mcfg.Policy == multichannel.PolicySkewed && mcfg.Skew == 0 {
@@ -99,9 +97,6 @@ func New(cfg Config) (*Simulator, error) {
 			return nil, err
 		}
 		s.set = set
-	}
-	if cfg.ZipfS > 1 {
-		s.zipf = s.rng.Zipf(cfg.ZipfS, ds.Len())
 	}
 	return s, nil
 }
@@ -128,51 +123,24 @@ func (s *Simulator) Broadcast() access.Broadcast { return s.bc }
 // Dataset exposes the generated data source.
 func (s *Simulator) Dataset() *datagen.Dataset { return s.ds }
 
-// pickKey draws a request key from the given RNG stream: a stored key
-// with probability Availability, otherwise a key provably absent from the
-// broadcast. zipf may be nil for the uniform workload. The stream is a
-// parameter so each shard of a sharded run can drive its own substream.
-func (s *Simulator) pickKey(rng *sim.RNG, zipf func() int) uint64 {
+// pickKey draws a request key from the stream's RNG: a stored key with
+// probability Availability, otherwise a key provably absent from the
+// broadcast.
+func (s *Simulator) pickKey(st *stream) uint64 {
 	var i int
-	if zipf != nil {
-		i = zipf()
+	if st.zipf != nil {
+		i = st.zipf()
 	} else {
-		i = rng.Intn(s.ds.Len())
+		i = st.rng.Intn(s.ds.Len())
 	}
-	if s.cfg.Availability >= 1 || rng.Float64() < s.cfg.Availability {
+	if s.cfg.Availability >= 1 || st.rng.Float64() < s.cfg.Availability {
 		return s.ds.KeyAt(i)
 	}
 	return s.ds.MissingKeyNear(i)
 }
 
-// Run executes the simulation until the accuracy controller is satisfied
-// (both access-time and tuning-time samples within the configured
-// confidence accuracy, and at least MinRequests served) or MaxRequests is
-// reached.
-//
-// Requests are independent processes: because the broadcast schedule is
-// deterministic and periodic, each request's full interaction with the
-// channel is resolved by direct channel arithmetic at its arrival event —
-// an observably equivalent optimization over scheduling one event per
-// bucket read. The event queue carries arrivals and round boundaries.
-//
-// With Config.Shards > 1 the run is delegated to the round-sharded engine
-// (engine.go), which exploits exactly this independence across shards.
-// Config.Engine == EngineCohort selects the batched columnar engine
-// (cohort.go) instead; it reproduces the same Result bit for bit.
-func (s *Simulator) Run() (*Result, error) {
-	if s.cfg.useCohort() {
-		return s.runCohort()
-	}
-	if s.cfg.Shards > 1 {
-		return s.runSharded()
-	}
-	return s.runSequential()
-}
-
-// newInjector returns the fault injector for one shard's substream, or
-// nil when fault injection is disabled. The sequential path is shard 0,
-// matching the one-shard engine so the two stay byte-identical.
+// newInjector returns the fault injector for one stream's substream, or
+// nil when fault injection is disabled.
 func (s *Simulator) newInjector(shard int) *faults.Injector {
 	if !s.cfg.Faults.Enabled() {
 		return nil
@@ -193,102 +161,20 @@ func (s *Simulator) recoverPolicy() access.RecoverPolicy {
 	return pol
 }
 
-// runSequential is the single-stream path: one event loop, one RNG, the
-// stopping rule applied inline at each round boundary.
-func (s *Simulator) runSequential() (*Result, error) {
-	res := &Result{
-		Scheme:     s.cfg.Scheme,
-		CycleBytes: s.bc.Channel().CycleLen(),
-		Params:     s.resultParams(),
-	}
-	engine := sim.New()
-	accessP95 := stats.MustQuantile(0.95)
-	accessP99 := stats.MustQuantile(0.99)
-	tuningP95 := stats.MustQuantile(0.95)
-	tuningP99 := stats.MustQuantile(0.99)
-	var walkErr error
-	inRound := 0
-	inj := s.newInjector(0)
-
-	var arrive func(*sim.Simulator)
-	arrive = func(eng *sim.Simulator) {
-		key := s.pickKey(s.rng, s.zipf)
-		r, err := s.runRequest(s.rng, inj, key, eng.Now())
-		if err != nil {
-			walkErr = err
-			eng.Stop()
-			return
-		}
-		res.Requests++
-		if r.Found {
-			res.Found++
-		} else {
-			res.NotFound++
-		}
-		res.Access.Add(float64(r.Access))
-		res.Tuning.Add(float64(r.Tuning))
-		res.Energy.Add(float64(r.Tuning) + s.cfg.DozePowerRatio*float64(r.Access-r.Tuning))
-		res.Probes.Add(float64(r.Probes))
-		res.Restarts += int64(r.Restarts)
-		res.WastedBytes += int64(r.Wasted)
-		if r.Unrecovered {
-			res.Unrecovered++
-		}
-		res.Switches += int64(r.Switches)
-		res.SwitchWaitBytes += int64(r.SwitchWait)
-		accessP95.Add(float64(r.Access))
-		accessP99.Add(float64(r.Access))
-		tuningP95.Add(float64(r.Tuning))
-		tuningP99.Add(float64(r.Tuning))
-
-		inRound++
-		if inRound >= s.cfg.RoundSize {
-			inRound = 0
-			res.Rounds++
-			if s.accuracyMet(res) && res.Requests >= int64(s.cfg.MinRequests) {
-				res.Converged = true
-				return // stop scheduling arrivals; queue drains
-			}
-		}
-		if res.Requests >= int64(s.cfg.MaxRequests) {
-			// Bugfix: the stopping rule also applies when the cap lands
-			// mid-round — the sample is complete either way, so a run
-			// that meets the accuracy rule at the cap has converged.
-			// Mirrors the sharded engine's budget-exhaustion exit.
-			res.Converged = s.accuracyMet(res) && res.Requests >= int64(s.cfg.MinRequests)
-			return
-		}
-		eng.After(s.rng.Exponential(s.cfg.RequestMean), arrive)
-	}
-	engine.After(s.rng.Exponential(s.cfg.RequestMean), arrive)
-
-	if err := engine.Run(0); err != nil && err != sim.ErrStopped {
-		return nil, err
-	}
-	if walkErr != nil {
-		return nil, walkErr
-	}
-	res.Events = engine.Processed
-	res.AccessP95 = accessP95.Value()
-	res.AccessP99 = accessP99.Value()
-	res.TuningP95 = tuningP95.Value()
-	res.TuningP99 = tuningP99.Value()
-	return res, nil
-}
-
 // accuracyMet applies the paper's stopping rule to both criteria.
 func (s *Simulator) accuracyMet(res *Result) bool {
 	return res.Access.Converged(s.cfg.Confidence, s.cfg.Accuracy) &&
 		res.Tuning.Converged(s.cfg.Confidence, s.cfg.Accuracy)
 }
 
-// runRequest executes one request process. The faults injector (nil on a
-// perfect channel) carries the shard's dedicated corruption substream;
-// rng is the shard's arrival stream, used only by the legacy
+// runRequest executes one request process for a stream. The stream's
+// faults injector (nil on a perfect channel) carries its dedicated
+// corruption substream; its arrival RNG is used only by the legacy
 // BitErrorRate path. With the multichannel subsystem active the
 // channel-hopping walkers take over; they consume no RNG, so the arrival
 // and fault streams are identical to the single-channel run's.
-func (s *Simulator) runRequest(rng *sim.RNG, inj *faults.Injector, key uint64, arrival sim.Time) (access.MultiResult, error) {
+func (s *Simulator) runRequest(st *stream, key uint64, arrival sim.Time) (access.MultiResult, error) {
+	inj := st.inj
 	if s.set != nil {
 		if inj != nil {
 			inj.StartRequest()
@@ -313,7 +199,7 @@ func (s *Simulator) runRequest(rng *sim.RNG, inj *faults.Injector, key uint64, a
 		r, err := access.WalkFaulty(
 			s.bc.Channel(),
 			func() access.Client { return s.bc.NewClient(key) },
-			arrival, s.cfg.BitErrorRate, rng.Float64, 0,
+			arrival, s.cfg.BitErrorRate, st.rng.Float64, 0,
 		)
 		return access.MultiResult{FaultyResult: r}, err
 	}

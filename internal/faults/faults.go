@@ -196,8 +196,9 @@ func FromRate(model ModelKind, rate float64) Config {
 
 // Validate reports whether the configuration is runnable.
 func (c Config) Validate() error {
+	// Every range check is written so that NaN fails it.
 	inUnit := func(name string, v float64) error {
-		if v < 0 || v > 1 {
+		if !(0 <= v && v <= 1) {
 			return fmt.Errorf("faults: %s %v outside [0,1]", name, v)
 		}
 		return nil
@@ -212,10 +213,10 @@ func (c Config) Validate() error {
 	default:
 		return fmt.Errorf("faults: unknown recovery kind %d", c.Recovery)
 	}
-	if c.BER < 0 || c.BER >= 1 {
+	if !(0 <= c.BER && c.BER < 1) {
 		return fmt.Errorf("faults: bit error rate %v outside [0,1)", c.BER)
 	}
-	if c.DropRate < 0 || c.DropRate >= 1 {
+	if !(0 <= c.DropRate && c.DropRate < 1) {
 		return fmt.Errorf("faults: drop rate %v outside [0,1)", c.DropRate)
 	}
 	for _, p := range []struct {
@@ -250,8 +251,7 @@ type Injector struct {
 }
 
 // New returns the injector for one shard's substream. seed and shard are
-// the simulation seed and shard index; the sequential (unsharded) path is
-// shard 0, matching the one-shard engine so the two stay byte-identical.
+// the simulation seed and shard index; a one-shard run is shard 0.
 func New(cfg Config, seed int64, shard int) *Injector {
 	return &Injector{cfg: cfg, base: uint64(sim.StreamSeed(seed, shard, "faults"))}
 }

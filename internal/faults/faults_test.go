@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"math"
 	"testing"
 
 	"github.com/airindex/airindex/internal/units"
@@ -154,6 +155,17 @@ func TestValidate(t *testing.T) {
 		{Model: ModelKind(99)},
 		{Recovery: RecoveryKind(99)},
 		{MaxRetries: -1},
+	}
+	// NaN fails every range check, and ±Inf is out of every range.
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		bad = append(bad,
+			Config{Model: ModelIID, BER: v},
+			Config{Model: ModelDrop, DropRate: v},
+			Config{Model: ModelGilbertElliott, GoodToBad: v},
+			Config{Model: ModelGilbertElliott, BadToGood: v},
+			Config{Model: ModelGilbertElliott, ErrGood: v},
+			Config{Model: ModelGilbertElliott, ErrBad: v},
+		)
 	}
 	for _, cfg := range bad {
 		if err := cfg.Validate(); err == nil {

@@ -7,8 +7,8 @@ import (
 )
 
 // sanctionedConcurrency lists the only files allowed to spawn goroutines
-// and use fan-out primitives: the experiment harness's whole-run fan-out
-// and the core round-sharded engine's wave barrier. Keeping the rest of
+// and use fan-out primitives: the scenario compiler's whole-run fan-out
+// and the core run driver's wave barrier. Keeping the rest of
 // the simulation kernel single-threaded by construction is what lets
 // `go test` and `go test -race` agree with the paper's sequential
 // byte-clock semantics; parallelism exists only where every unit of work

@@ -112,7 +112,12 @@ func RunEscapeBuild(moduleRoot string, rels []string) (*EscapeData, error) {
 	// written anyway).
 	patterns := make([]string, 0, len(rels))
 	for _, rel := range rels {
-		patterns = append(patterns, "./"+filepath.ToSlash(rel))
+		if !inNestedModule(moduleRoot, rel) {
+			patterns = append(patterns, "./"+filepath.ToSlash(rel))
+		}
+	}
+	if len(patterns) == 0 {
+		return &EscapeData{Diags: map[string][]EscapeDiag{}}, nil
 	}
 	run := func(extra ...string) ([]byte, error) {
 		args := append([]string{"build", "-gcflags=-m -m"}, extra...)
@@ -131,6 +136,19 @@ func RunEscapeBuild(moduleRoot string, rels []string) (*EscapeData, error) {
 		return nil, fmt.Errorf("escape build failed: %v\n%s", err, out)
 	}
 	return ParseEscapeOutput(string(out)), nil
+}
+
+// inNestedModule reports whether the module-relative directory rel lies
+// in a nested module (a directory below moduleRoot with its own go.mod,
+// such as the benchmark). `go build` run from the root cannot name its
+// packages, so the escape build leaves them out.
+func inNestedModule(moduleRoot, rel string) bool {
+	for dir := filepath.Clean(rel); dir != "."; dir = filepath.Dir(dir) {
+		if _, err := os.Stat(filepath.Join(moduleRoot, dir, "go.mod")); err == nil {
+			return true
+		}
+	}
+	return false
 }
 
 func runEscapeCheck(pass *Pass) {

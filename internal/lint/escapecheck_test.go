@@ -116,7 +116,18 @@ func Leak() *int {
 	if err := os.WriteFile(filepath.Join(root, "hot", "hot.go"), []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	data, err := RunEscapeBuild(root, []string{"hot"})
+	// A nested module (its own go.mod, like the benchmark) cannot be
+	// built from the root; the escape build must skip it, not fail.
+	if err := os.MkdirAll(filepath.Join(root, "sub", "pkg"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(root, "sub", "go.mod"), []byte("module example.com/sub\n\ngo 1.22\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(root, "sub", "pkg", "pkg.go"), []byte("package pkg\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	data, err := RunEscapeBuild(root, []string{"hot", "sub/pkg"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,7 +49,7 @@ func (s *Sample) Add(x float64) {
 // equivalent to calling Add on each element — Welford accumulation is
 // order-sensitive, so the columnar cohort engine hands whole result
 // columns here instead of interleaving per-request Add calls, and the
-// bits still match the sequential path.
+// bits still match the event engine's.
 //
 //airlint:hotpath
 func (s *Sample) AddAll(xs []float64) {
