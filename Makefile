@@ -59,12 +59,17 @@ bench-gate:
 bench-baseline:
 	$(GO) run ./cmd/airgate -update
 
-# Regenerate every paper table/figure at Table 1 settings (a few minutes).
+# Regenerate every paper figure and family at Table 1 settings (a few
+# minutes), rewriting results/ in place; the same run as `scenarios`.
+# results/table1.csv is a constants table, pinned by internal/airql's
+# TestTable1 rather than regenerated.
 experiments:
-	$(GO) run ./cmd/airbench -csv results all
+	$(GO) run ./cmd/airql -quiet -out . scenarios/*.airql
 
+# Every scenario at the fast profile, printed as text (seconds, not
+# minutes); the CSVs land in a throwaway directory.
 experiments-fast:
-	$(GO) run ./cmd/airbench -fast all
+	$(GO) run ./cmd/airql -fast -quiet -print text -out $$(mktemp -d) scenarios/*.airql
 
 # Compile and run every scenarios/*.airql at the full paper profile,
 # rewriting results/ in place. CI's airql-regen job runs the same thing
@@ -80,13 +85,13 @@ scenarios-check:
 # Unreliable-channel degradation sweep: error rate 0-10% over all schemes
 # (results/faults-at.csv, faults-tt.csv, faults-recovery.csv).
 faults-sweep:
-	$(GO) run ./cmd/airbench -csv results faults
+	$(GO) run ./cmd/airql -quiet -out . faults
 
 # K-channel allocation sweep: K=1..8 replicated channels, free and
 # one-page switch costs, over all schemes (results/multich-at.csv,
 # multich-tt.csv). The K=1 rows match fig4a/fig5a exactly (CI gate).
 multich-sweep:
-	$(GO) run ./cmd/airbench -csv results multich
+	$(GO) run ./cmd/airql -quiet -out . multich
 
 # Live broadcast daemon demo: serve one reconfiguration cycle
 # in-process (epoch 1 -> 2 at a cycle boundary), resolve keys on both

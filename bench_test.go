@@ -1,10 +1,10 @@
 // Package airindex's benchmark suite regenerates every table and figure of
-// the paper (one Benchmark per artifact, in fast mode — run cmd/airbench
+// the paper (one Benchmark per artifact, in fast mode — run cmd/airql
 // without -fast for the full Table 1 settings) and measures the hot paths
 // of the simulator itself.
 //
-// The experiment benchmarks are macro-benchmarks: a single iteration runs a
-// whole parameter sweep, so expect them to self-limit at b.N == 1. Custom
+// The experiment benchmarks are macro-benchmarks: a single iteration runs
+// a whole embedded scenario script, so expect them to self-limit at b.N == 1. Custom
 // metrics report the headline values the paper plots.
 package airindex
 
@@ -12,9 +12,9 @@ import (
 	"testing"
 
 	"github.com/airindex/airindex/internal/access"
+	"github.com/airindex/airindex/internal/airql"
 	"github.com/airindex/airindex/internal/core"
 	"github.com/airindex/airindex/internal/datagen"
-	"github.com/airindex/airindex/internal/experiments"
 	"github.com/airindex/airindex/internal/schemes/bdisk"
 	"github.com/airindex/airindex/internal/schemes/dist"
 	"github.com/airindex/airindex/internal/schemes/flat"
@@ -24,16 +24,27 @@ import (
 	"github.com/airindex/airindex/internal/schemes/signature"
 	"github.com/airindex/airindex/internal/sim"
 	"github.com/airindex/airindex/internal/stats"
+	"github.com/airindex/airindex/scenarios"
 )
 
-var benchOpt = experiments.Options{Fast: true}
+var benchOpt = airql.Options{Fast: true}
 
-// runExperiment executes one experiment per iteration and reports the last
-// row of the selected table's first column as a custom metric.
-func runExperiment(b *testing.B, id, tableID, column string) {
+// runExperiment compiles one embedded scenario script, executes it once
+// per iteration, and reports the last row of the selected table's column
+// as a custom metric.
+func runExperiment(b *testing.B, scenario, tableID, column string) {
 	b.Helper()
+	file := scenario + ".airql"
+	src, err := scenarios.Source(file)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prog, err := airql.Compile(file, src)
+	if err != nil {
+		b.Fatal(err)
+	}
 	for i := 0; i < b.N; i++ {
-		tables, err := experiments.Run(id, benchOpt)
+		tables, err := airql.Execute(prog, benchOpt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -51,7 +62,6 @@ func runExperiment(b *testing.B, id, tableID, column string) {
 	}
 }
 
-func BenchmarkTable1Settings(b *testing.B)       { runExperiment(b, "table1", "table1", "record_bytes") }
 func BenchmarkFig4aAccessVsRecords(b *testing.B) { runExperiment(b, "fig4", "fig4a", "flat (S)") }
 func BenchmarkFig4bTuningVsRecords(b *testing.B) { runExperiment(b, "fig4", "fig4b", "hashing (S)") }
 func BenchmarkFig5aAccessVsAvailability(b *testing.B) {

@@ -10,11 +10,16 @@
 //	airql -check scenarios/*.airql      # compile only; report errors
 //	airql -list                         # list the embedded scenarios
 //	airql -fast -out /tmp fig5          # embedded script, fast profile
+//	airql -fast -print md fig4          # also print every table as markdown
+//	airql -fast -set fault.rate=0.01 -set multi.channels=2 fig4
 //
 // A script argument is a path if it exists on disk; otherwise it names
 // an embedded scenario ("fig4" or "fig4.airql"). EMIT csv(...) paths are
 // joined to -out; summary(stdout) sinks write to standard output. A
-// script with no EMIT stage prints its tables as aligned text.
+// script with no EMIT stage prints its tables as aligned text. Each
+// -set knob=value applies a session-wide setting to every point before
+// the script's own SETs: a script's fault.* knobs replace the session
+// fault config, its multi.* knobs override single fields.
 package main
 
 import (
@@ -46,6 +51,12 @@ func run(args []string, out io.Writer) error {
 	engine := fs.String("engine", "", "request engine for every point: events (default) or cohort; results are bit-identical")
 	outDir := fs.String("out", ".", "root directory EMIT csv(...) paths are resolved against")
 	quiet := fs.Bool("quiet", false, "suppress per-point progress lines")
+	printForm := fs.String("print", "", "also print every table to stdout as text, md (markdown) or plot (ASCII chart)")
+	var sets []string
+	fs.Func("set", "session-wide knob=value applied to every point, e.g. fault.rate=0.01 or multi.channels=2 (repeatable; see DESIGN.md §11 for the knobs)", func(s string) error {
+		sets = append(sets, s)
+		return nil
+	})
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -62,8 +73,16 @@ func run(args []string, out io.Writer) error {
 	if *check && *runMode {
 		return fmt.Errorf("-check and -run are mutually exclusive")
 	}
+	write, ok := printers[*printForm]
+	if !ok && *printForm != "" {
+		return fmt.Errorf("-print %q: want text, md or plot", *printForm)
+	}
+	settings, err := airql.ParseSettings(sets)
+	if err != nil {
+		return err
+	}
 
-	opt := airql.Options{Fast: *fast, Seed: *seed, Shards: *shards, Engine: *engine}
+	opt := airql.Options{Fast: *fast, Seed: *seed, Shards: *shards, Engine: *engine, Settings: settings}
 	if !*quiet {
 		opt.Progress = func(format string, a ...any) {
 			fmt.Fprintf(os.Stderr, "  "+format+"\n", a...)
@@ -96,11 +115,13 @@ func run(args []string, out io.Writer) error {
 		if err := airql.Emit(prog, tables, *outDir, out); err != nil {
 			return err
 		}
-		if !hasSinks(prog) {
-			for _, tb := range tables {
-				if err := tb.WriteText(out); err != nil {
-					return err
-				}
+		w := write
+		if w == nil && !hasSinks(prog) {
+			w = printers["text"]
+		}
+		for i := 0; w != nil && i < len(tables); i++ {
+			if err := w(tables[i], out); err != nil {
+				return err
 			}
 		}
 	}
@@ -108,6 +129,13 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("%d of %d scripts failed to compile", failed, len(files))
 	}
 	return nil
+}
+
+// printers are the -print forms.
+var printers = map[string]func(*airql.Table, io.Writer) error{
+	"text": (*airql.Table).WriteText,
+	"md":   (*airql.Table).WriteMarkdown,
+	"plot": func(tb *airql.Table, w io.Writer) error { return tb.WritePlot(w, 72, 20) },
 }
 
 // load resolves a script argument: an on-disk path wins; otherwise the

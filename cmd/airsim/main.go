@@ -9,7 +9,14 @@
 //	airsim -scheme distributed -records 17500
 //	airsim -scheme hashing -records 34000 -load 3
 //	airsim -scheme signature -records 7000 -sig-bytes 8 -availability 0.5
-//	airsim -scheme "(1,m)" -records 17500 -channels 4 -switch-cost 1024
+//	airsim -scheme "(1,m)" -records 17500 -set multi.channels=4 -set multi.switchcost=1KiB
+//	airsim -scheme distributed -records 2000 -set fault.rate=0.3
+//
+// Each -set knob=value is a setting from airql's knob table (DESIGN.md
+// §11), applied after the flags above: the fault layer (fault.model,
+// fault.rate, fault.retries, fault.recovery), the K-channel layer
+// (multi.*), the legacy biterror, and the rest of the table bar scheme
+// and records. A fault.rate with no fault.model means the drop model.
 package main
 
 import (
@@ -20,10 +27,8 @@ import (
 	"sort"
 	"strings"
 
+	"github.com/airindex/airindex/internal/airql"
 	"github.com/airindex/airindex/internal/core"
-	"github.com/airindex/airindex/internal/faults"
-	"github.com/airindex/airindex/internal/multichannel"
-	"github.com/airindex/airindex/internal/units"
 )
 
 func main() {
@@ -48,15 +53,11 @@ func run(args []string, out io.Writer) error {
 	minReq := fs.Int("min-requests", 5000, "minimum requests before stopping")
 	round := fs.Int("round", 500, "requests per accuracy-control round")
 	maxReq := fs.Int("max-requests", 100000, "request cap")
-	ber := fs.Float64("ber", 0, "bucket corruption probability [0,1); legacy layer, prefer -fault-model")
-	faultModel := fs.String("fault-model", "none", "unreliable-channel error model: none, iid, ge, drop")
-	faultRate := fs.Float64("fault-rate", 0, "headline error rate for -fault-model [0,1): per-bucket loss (drop), per-bit BER (iid), bad-state corruption rate (ge)")
-	faultRetries := fs.Int("fault-retries", 0, "corrupted reads tolerated per request (0 = unbounded)")
-	faultRecovery := fs.String("fault-recovery", "restart", "re-tune policy after a corrupted read: restart, cycle")
-	channels := fs.Int("channels", 0, "broadcast channels K (0 = the single-channel path)")
-	switchCost := fs.Int("switch-cost", 0, "channel-switch cost in bytes, dozed through (needs -channels)")
-	alloc := fs.String("alloc", "replicated", "K-channel allocation policy: replicated, indexdata, skewed")
-	indexChannels := fs.Int("index-channels", 0, "indexdata policy: dedicated index channels (0 = 1)")
+	var sets []string
+	fs.Func("set", "session-wide knob=value, e.g. fault.rate=0.01 or multi.channels=4 (repeatable; airql's knob table)", func(v string) error {
+		sets = append(sets, v)
+		return nil
+	})
 	m := fs.Int("m", 0, "(1,m) indexing: tree copies per cycle (0 = optimal)")
 	r := fs.Int("r", -1, "distributed indexing: replicated levels (-1 = optimal)")
 	load := fs.Float64("load", 3, "hashing: target records per hash position")
@@ -77,32 +78,15 @@ func run(args []string, out io.Writer) error {
 	cfg.MinRequests = *minReq
 	cfg.RoundSize = *round
 	cfg.MaxRequests = *maxReq
-	cfg.BitErrorRate = *ber
-	model, err := faults.ParseModel(*faultModel)
-	if err != nil {
-		return err
-	}
-	recovery, err := faults.ParseRecovery(*faultRecovery)
-	if err != nil {
-		return err
-	}
-	cfg.Faults = faults.FromRate(model, *faultRate)
-	cfg.Faults.Recovery = recovery
-	cfg.Faults.MaxRetries = *faultRetries
-	policy, err := multichannel.ParsePolicy(*alloc)
-	if err != nil {
-		return err
-	}
-	cfg.Multi = multichannel.Config{
-		Channels:      *channels,
-		SwitchCost:    units.Bytes(*switchCost),
-		Policy:        policy,
-		IndexChannels: *indexChannels,
-	}
 	cfg.Onem.M = *m
 	cfg.Dist.R = *r
 	cfg.Hashing.LoadFactor = *load
 	cfg.Signature.SigBytes = *sigBytes
+	settings, err := airql.ParseSettings(sets)
+	if err != nil {
+		return err
+	}
+	airql.ApplySettings(&cfg, settings)
 
 	res, err := core.RunOne(cfg)
 	if err != nil {

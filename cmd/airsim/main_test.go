@@ -25,7 +25,7 @@ func TestRunSmallSimulation(t *testing.T) {
 func TestRunWithErrorInjection(t *testing.T) {
 	var out bytes.Buffer
 	err := run([]string{
-		"-scheme", "hashing", "-records", "200", "-ber", "0.1",
+		"-scheme", "hashing", "-records", "200", "-set", "biterror=0.1",
 		"-min-requests", "200", "-max-requests", "400", "-accuracy", "0.2", "-round", "100",
 	}, &out)
 	if err != nil {
@@ -36,13 +36,13 @@ func TestRunWithErrorInjection(t *testing.T) {
 	}
 }
 
-// TestRunWithFaultFlags: the -fault-* flags reach the faults layer and
-// the run reports the recovery counters.
+// TestRunWithFaultFlags: -set fault.* settings reach the faults layer
+// and the run reports the recovery counters.
 func TestRunWithFaultFlags(t *testing.T) {
 	var out bytes.Buffer
 	err := run([]string{
 		"-scheme", "distributed", "-records", "200",
-		"-fault-model", "drop", "-fault-rate", "0.1", "-fault-retries", "3", "-fault-recovery", "cycle",
+		"-set", "fault.model=drop", "-set", "fault.rate=0.1", "-set", "fault.retries=3", "-set", "fault.recovery=cycle",
 		"-min-requests", "200", "-max-requests", "400", "-accuracy", "0.2", "-round", "100",
 	}, &out)
 	if err != nil {
@@ -55,18 +55,41 @@ func TestRunWithFaultFlags(t *testing.T) {
 	}
 }
 
-// TestRunRejectsBadFaultFlags: unknown model and recovery names, and
-// mixing the legacy -ber layer with -fault-model, are refused.
+// TestRunRejectsBadFaultFlags: unknown model and recovery names, a
+// retry budget with no fault model, and mixing the legacy biterror layer
+// with a fault model, are refused.
 func TestRunRejectsBadFaultFlags(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"-fault-model", "bogus", "-records", "100"}, &out); err == nil {
+	if err := run([]string{"-set", "fault.model=bogus", "-records", "100"}, &out); err == nil {
 		t.Fatal("unknown fault model accepted")
 	}
-	if err := run([]string{"-fault-model", "drop", "-fault-rate", "0.1", "-fault-recovery", "bogus", "-records", "100"}, &out); err == nil {
+	if err := run([]string{"-set", "fault.rate=0.1", "-set", "fault.recovery=bogus", "-records", "100"}, &out); err == nil {
 		t.Fatal("unknown recovery policy accepted")
 	}
-	if err := run([]string{"-fault-model", "drop", "-fault-rate", "0.1", "-ber", "0.1", "-records", "100"}, &out); err == nil {
-		t.Fatal("legacy -ber combined with -fault-model accepted")
+	err := run([]string{"-set", "fault.retries=3", "-records", "100"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "-set:1:1: knob fault.retries needs fault.model") {
+		t.Fatalf("retries without a fault model: got %v", err)
+	}
+	if err := run([]string{"-set", "fault.model=drop", "-set", "fault.rate=0.1", "-set", "biterror=0.1", "-records", "100"}, &out); err == nil {
+		t.Fatal("legacy biterror combined with a fault model accepted")
+	}
+}
+
+// TestRunFaultRateMeansDrop: a rate with no model runs the drop model,
+// as a script's SET fault.rate does, instead of a perfect channel.
+func TestRunFaultRateMeansDrop(t *testing.T) {
+	var out bytes.Buffer
+	err := run([]string{
+		"-scheme", "distributed", "-records", "300", "-set", "fault.rate=0.3",
+		"-min-requests", "300", "-max-requests", "600", "-accuracy", "0.1", "-round", "150",
+	}, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"error restarts", "model=drop rate=0.3"} {
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("fault.rate run output missing %q:\n%s", want, out.String())
+		}
 	}
 }
 
@@ -89,12 +112,12 @@ func TestRunShardsFlag(t *testing.T) {
 	}
 }
 
-// TestRunWithChannelFlags: the -channels/-switch-cost/-alloc flags reach
-// the multichannel layer and the run reports the switch counters.
+// TestRunWithChannelFlags: -set multi.* settings reach the multichannel
+// layer and the run reports the switch counters.
 func TestRunWithChannelFlags(t *testing.T) {
 	var out bytes.Buffer
 	err := run([]string{
-		"-scheme", "distributed", "-records", "300", "-channels", "2", "-switch-cost", "64",
+		"-scheme", "distributed", "-records", "300", "-set", "multi.channels=2", "-set", "multi.switchcost=64",
 		"-min-requests", "300", "-max-requests", "600", "-accuracy", "0.1", "-round", "150",
 	}, &out)
 	if err != nil {
@@ -111,13 +134,16 @@ func TestRunWithChannelFlags(t *testing.T) {
 // combinations are refused before the simulation starts.
 func TestRunRejectsBadChannelFlags(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"-channels", "2", "-alloc", "bogus", "-records", "100"}, &out); err == nil {
+	if err := run([]string{"-set", "multi.channels=2", "-set", "multi.policy=bogus", "-records", "100"}, &out); err == nil {
 		t.Fatal("unknown allocation policy accepted")
 	}
-	if err := run([]string{"-channels", "-2", "-records", "100"}, &out); err == nil {
+	if err := run([]string{"-set", "multi.channels=-2", "-records", "100"}, &out); err == nil {
 		t.Fatal("negative channel count accepted")
 	}
-	if err := run([]string{"-scheme", "flat", "-channels", "3", "-alloc", "indexdata", "-records", "100"}, &out); err == nil {
+	if err := run([]string{"-set", "scheme=flat", "-records", "100"}, &out); err == nil {
+		t.Fatal("-set scheme accepted; airsim takes the scheme from -scheme")
+	}
+	if err := run([]string{"-scheme", "flat", "-set", "multi.channels=3", "-set", "multi.policy=indexdata", "-records", "100"}, &out); err == nil {
 		t.Fatal("index/data allocation accepted for an index-less scheme")
 	}
 }

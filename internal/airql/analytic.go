@@ -15,8 +15,8 @@ import (
 
 // Analytic returns the paper's model predictions in bytes for a finished
 // run, or NaNs when the paper gives no closed form for the setting. The
-// analytic(access) / analytic(tuning) column metrics evaluate through it,
-// and internal/experiments re-exports it for the agreement tests.
+// analytic(access) / analytic(tuning) column metrics and the agreement
+// tests evaluate through it.
 func Analytic(cfg core.Config, res *core.Result) (accessBytes, tuningBytes float64) {
 	if cfg.Multi.Enabled() {
 		return analyticMulti(cfg, res)

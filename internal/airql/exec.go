@@ -9,7 +9,6 @@ import (
 	"strings"
 
 	"github.com/airindex/airindex/internal/core"
-	"github.com/airindex/airindex/internal/faults"
 )
 
 // axisRT is one sweep axis resolved under the active profile.
@@ -36,10 +35,9 @@ type executor struct {
 
 // Execute compiles nothing new — the program must have passed Validate —
 // and runs every sweep point, returning the declared tables in order.
-// All points run through the shared concurrent scheduler (runPoints), so
-// the (Seed, Shards) determinism contract of the Go experiment harness
-// carries over unchanged: results depend on each point's config only,
-// never on scheduling.
+// All points run through the shared concurrent scheduler (runPoints)
+// under the (Seed, Shards) determinism contract: results depend on each
+// point's config only, never on scheduling.
 func Execute(prog *Program, opt Options) ([]*Table, error) {
 	if errs := Validate(prog); len(errs) > 0 {
 		return nil, errs
@@ -147,11 +145,9 @@ func (ex *executor) profileExpr(set *SetDecl) *Expr {
 }
 
 // pointConfig assembles one sweep point's full configuration: the
-// constructor knobs (scheme, records) feed BaseConfig, then axis values
-// and SET stages apply in declaration order, then the fault.* staging
-// collapses into cfg.Faults wholesale — the same order of operations the
-// Go experiment functions used, so every point's config is bit-identical
-// to the family it was ported from.
+// constructor knobs (scheme, records) feed BaseConfig, which applies the
+// session settings, then axis values and SET stages apply in declaration
+// order, then the fault.* staging collapses into cfg.Faults wholesale.
 func (ex *executor) pointConfig(idx []int) (core.Config, error) {
 	scheme, err := ex.schemeFor(idx)
 	if err != nil {
@@ -184,21 +180,7 @@ func (ex *executor) pointConfig(idx []int) (core.Config, error) {
 			return core.Config{}, err
 		}
 	}
-	if pf.modelSet || pf.rateSet {
-		model := pf.model
-		if !pf.modelSet {
-			// A rate with no model means the whole-bucket drop model, the
-			// paper-adjacent default the faults family sweeps.
-			model = faults.ModelDrop
-		}
-		cfg.Faults = faults.FromRate(model, pf.rate)
-		if pf.retrySet {
-			cfg.Faults.MaxRetries = pf.retries
-		}
-		if pf.recovSet {
-			cfg.Faults.Recovery = pf.recovery
-		}
-	}
+	pf.apply(&cfg)
 	return cfg, nil
 }
 
@@ -218,9 +200,6 @@ func (ex *executor) setValue(set *SetDecl, env *evalEnv) (Scalar, *Error) {
 				return ex.axes[ai].vals[env.idx[ai]], nil
 			}
 			return Scalar{Pos: e.Pos, IsStr: true, Str: e.Name}, nil
-		case ExprNum, ExprCall, ExprOp:
-			return Scalar{}, &Error{File: ex.prog.File, Pos: e.Pos,
-				Msg: fmt.Sprintf("knob %s takes a name, not an expression", kn.name)}
 		default:
 			return Scalar{}, &Error{File: ex.prog.File, Pos: e.Pos,
 				Msg: fmt.Sprintf("knob %s takes a name, not an expression", kn.name)}
@@ -273,8 +252,6 @@ func (ex *executor) schemeFor(idx []int) (string, error) {
 			} else {
 				name = e.Name
 			}
-		case ExprNum, ExprCall, ExprOp:
-			return "", &Error{Pos: e.Pos, Msg: "scheme takes a name, not an expression"}
 		default:
 			return "", &Error{Pos: e.Pos, Msg: "scheme takes a name, not an expression"}
 		}

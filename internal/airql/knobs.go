@@ -66,10 +66,10 @@ func schemeVocab() string {
 // sigFamily are the schemes that honour the signature.* knobs.
 var sigFamily = []string{"signature", "signature-integrated", "signature-multilevel"}
 
-// pointFaults stages the fault.* knobs of one point. The executor
-// assembles cfg.Faults from it after all knobs are applied, mirroring
-// how the Go experiment functions built faults.FromRate(model, rate)
-// wholesale: setting fault.model in a script replaces any session fault
+// pointFaults stages the fault.* knobs of one point (or of the session
+// settings). apply assembles cfg.Faults from it after all knobs are
+// applied, as faults.FromRate(model, rate) built wholesale: setting
+// fault.model or fault.rate in a script replaces any session fault
 // config rather than patching it.
 type pointFaults struct {
 	modelSet bool
@@ -80,6 +80,96 @@ type pointFaults struct {
 	retrySet bool
 	recovery faults.RecoveryKind
 	recovSet bool
+}
+
+// apply lands the staged knobs on cfg.Faults. Without a model or a rate
+// it leaves cfg.Faults alone; the validator rejects retries or recovery
+// on their own, which would otherwise be dropped here.
+func (pf *pointFaults) apply(cfg *core.Config) {
+	if !pf.modelSet && !pf.rateSet {
+		return
+	}
+	model := pf.model
+	if !pf.modelSet {
+		// A rate with no model means the whole-bucket drop model, the
+		// paper-adjacent default the faults family sweeps.
+		model = faults.ModelDrop
+	}
+	cfg.Faults = faults.FromRate(model, pf.rate)
+	if pf.retrySet {
+		cfg.Faults.MaxRetries = pf.retries
+	}
+	if pf.recovSet {
+		cfg.Faults.Recovery = pf.recovery
+	}
+}
+
+// Setting is one session-wide knob assignment, parsed from a -set flag.
+type Setting struct {
+	kn  *knob
+	val Scalar
+}
+
+// ParseSettings parses session-wide "knob=value" assignments, one per
+// -set flag, through the same knob table and value checks as a script's
+// SET. Diagnostics read -set:N:C, where N counts the -set flags from 1.
+// The per-run knobs scheme and records are refused: a script sweeps or
+// sets them, and airsim has its own flags for them.
+func ParseSettings(args []string) ([]Setting, error) {
+	prog := &Program{File: "-set"}
+	for i, arg := range args {
+		p := &parser{lx: newLexer(prog.File, arg)}
+		p.lx.line = i + 1
+		if err := p.advance(); err != nil {
+			return nil, err
+		}
+		name, err := p.expect(TokenIdent, "-set knob=value")
+		if err != nil {
+			return nil, err
+		}
+		if _, err := p.expect(TokenAssign, "-set "+name.Text); err != nil {
+			return nil, err
+		}
+		expr, err := p.parseExpr()
+		if err != nil {
+			return nil, err
+		}
+		if p.cur.Kind != TokenEOF {
+			return nil, p.errorf(p.cur.Pos, "unexpected %s after -set %s=...; give each knob its own -set flag", p.cur.Kind, name.Text)
+		}
+		prog.Sets = append(prog.Sets, SetDecl{Knob: name.Text, Pos: name.Pos, Expr: expr})
+	}
+	v := newValidator(prog)
+	v.checkSets()
+	v.checkFaultKnobs()
+	for i := range prog.Sets {
+		if kn := lookupKnob(prog.Sets[i].Knob); kn != nil && (kn.name == "scheme" || kn.name == "records") {
+			v.errorf(prog.Sets[i].Pos, "knob %s is chosen per run, not by -set", kn.name)
+		}
+	}
+	if len(v.errs) > 0 {
+		return nil, v.errs
+	}
+	ex := &executor{prog: prog}
+	settings := make([]Setting, len(prog.Sets))
+	for i := range prog.Sets {
+		val, err := ex.setValue(&prog.Sets[i], &evalEnv{ex: ex})
+		if err != nil {
+			return nil, err
+		}
+		settings[i] = Setting{kn: lookupKnob(prog.Sets[i].Knob), val: val}
+	}
+	return settings, nil
+}
+
+// ApplySettings lands session-wide settings on cfg in flag order; the
+// fault.* settings collapse into cfg.Faults as a script's do.
+func ApplySettings(cfg *core.Config, settings []Setting) {
+	var pf pointFaults
+	for _, s := range settings {
+		s.kn.apply(cfg, &pf, s.val)
+	}
+	pf.apply(cfg)
 }
 
 // knob describes one assignable configuration key: its value type, its

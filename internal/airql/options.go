@@ -1,15 +1,10 @@
 package airql
 
-import (
-	"github.com/airindex/airindex/internal/core"
-	"github.com/airindex/airindex/internal/faults"
-	"github.com/airindex/airindex/internal/multichannel"
-)
+import "github.com/airindex/airindex/internal/core"
 
-// Options tunes how compiled scenarios run. It moved here from
-// internal/experiments (which aliases it) when the experiment harness
-// became a set of compiled scenarios: the profile knobs below are part
-// of the deterministic (Seed, Shards) contract every scenario inherits.
+// Options tunes how compiled scenarios run: the session-wide profile,
+// seed, shards, engine and knob settings every scenario inherits, part
+// of the deterministic (Seed, Shards) contract.
 type Options struct {
 	// Fast shrinks workloads and relaxes the stopping rule for test and
 	// benchmark runs; the full mode uses the paper's Table 1 settings.
@@ -30,19 +25,14 @@ type Options struct {
 	// bit-identical either way (the cohort engine's differential
 	// guarantee); only the wall-clock changes.
 	Engine string
-	// Faults applies the deterministic unreliable-channel layer
-	// (internal/faults) to every point. The zero value keeps the perfect
-	// channel; a zero-rate model reproduces the perfect channel's tables
-	// byte for byte, because the fault process draws from its own RNG
-	// substream. Scenarios that set fault.* knobs themselves (ablate-errors,
-	// faults) override this per point.
-	Faults faults.Config
-	// Multi applies the K-channel broadcast subsystem to every point. The
-	// zero value keeps the paper's single channel; a one-channel
-	// replicated allocation with zero switch cost reproduces the
-	// single-channel tables byte for byte (the hopping walkers consume no
-	// RNG). The multich scenario sets its own allocations per point.
-	Multi multichannel.Config
+	// Settings are session-wide knob assignments (the CLIs' -set flags,
+	// parsed by ParseSettings), applied to every point before the
+	// script's own knobs. A script's fault.* knobs replace the session
+	// fault config wholesale (ablate-errors clears it with
+	// fault.model=none); its multi.* knobs patch the session allocation
+	// field by field. A zero-rate fault model or a one-channel replicated
+	// allocation reproduces the plain tables byte for byte.
+	Settings []Setting
 	// Progress, when non-nil, receives one line per completed point.
 	Progress func(format string, args ...any)
 }
@@ -74,14 +64,13 @@ func (o Options) BaseConfig(scheme string, records int) core.Config {
 		cfg.Shards = o.Shards
 	}
 	cfg.Engine = o.Engine
-	cfg.Faults = o.Faults
-	cfg.Multi = o.Multi
+	ApplySettings(&cfg, o.Settings)
 	return cfg
 }
 
 // RecordSweep is the x axis of Figure 4 (Table 1: 7,000–34,000 records).
 // The scenario scripts spell these values out; this stays exported for
-// Table1 and the tests that size workloads from it.
+// the Table 1 pin and the tests that size workloads from it.
 func (o Options) RecordSweep() []int {
 	if o.Fast {
 		// Past 1,728 records the default geometry's tree reaches the same

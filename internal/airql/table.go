@@ -10,8 +10,7 @@ import (
 )
 
 // Table is one figure or table: an x column plus one value column per
-// series. It used to live in internal/experiments; the EMIT sink layer
-// is its single home now, and experiments re-exports it as an alias.
+// series, as Execute builds it and the EMIT sinks write it.
 type Table struct {
 	// ID names the paper artifact, e.g. "fig4a".
 	ID string

@@ -67,15 +67,21 @@ func (v *validator) errorf(pos Pos, format string, args ...any) {
 // Validate type-checks a parsed program against the real configuration
 // surface. It returns every diagnostic it can find, in source order.
 func Validate(prog *Program) ErrorList {
-	v := &validator{prog: prog, mode: ModeSim}
-	v.constKnobs[0] = map[string]float64{}
-	v.constKnobs[1] = map[string]float64{}
+	v := newValidator(prog)
 	v.checkRuns()
 	v.checkAxes()
 	v.checkSets()
+	v.checkFaultKnobs()
 	v.checkSchemeAndRecords()
 	v.checkTables()
 	return v.errs
+}
+
+func newValidator(prog *Program) *validator {
+	v := &validator{prog: prog, mode: ModeSim}
+	v.constKnobs[0] = map[string]float64{}
+	v.constKnobs[1] = map[string]float64{}
+	return v
 }
 
 func (v *validator) axisOf(name string) *AxisDecl {
@@ -310,6 +316,50 @@ func (v *validator) checkSets() {
 	}
 }
 
+// checkFaultKnobs rejects fault.retries and fault.recovery when nothing
+// turns the fault layer on. Only a fault.model other than none, or a
+// fault.rate with no model (the drop model), builds a fault config, so
+// either knob on its own would silently do nothing.
+func (v *validator) checkFaultKnobs() {
+	type use struct {
+		knob string
+		pos  Pos
+		none bool // every value names the none model
+	}
+	var uses []use
+	for i := range v.prog.Axes {
+		ax := &v.prog.Axes[i]
+		none := true
+		for _, val := range append(append([]Scalar{}, ax.Values...), ax.Fast...) {
+			none = none && val.Str == "none"
+		}
+		uses = append(uses, use{knobNameFor(ax.Name), ax.Pos, none})
+	}
+	for i := range v.prog.Sets {
+		set := &v.prog.Sets[i]
+		none := true
+		for _, e := range []*Expr{set.Expr, set.FastExpr} {
+			// A computed value or an axis reference may name any model.
+			none = none && (e == nil || e.Kind == ExprStr && e.Str == "none" || e.Kind == ExprVar && e.Name == "none")
+		}
+		uses = append(uses, use{knobNameFor(set.Knob), set.Pos, none})
+	}
+	var modelSet, modelOn, rateSet bool
+	for _, u := range uses {
+		modelSet = modelSet || u.knob == "fault.model"
+		modelOn = modelOn || u.knob == "fault.model" && !u.none
+		rateSet = rateSet || u.knob == "fault.rate"
+	}
+	if modelOn || rateSet && !modelSet {
+		return
+	}
+	for _, u := range uses {
+		if u.knob == "fault.retries" || u.knob == "fault.recovery" {
+			v.errorf(u.pos, "knob %s needs fault.model (other than none) or fault.rate; without either the fault layer stays off and the knob does nothing", u.knob)
+		}
+	}
+}
+
 // checkStringKnobExpr validates a vocabulary knob's value: a quoted
 // string, a bare name, or a reference to a string axis.
 func (v *validator) checkStringKnobExpr(kn *knob, e *Expr) {
@@ -328,8 +378,6 @@ func (v *validator) checkStringKnobExpr(kn *knob, e *Expr) {
 		if _, ok := kn.vocab(e.Name); !ok {
 			v.errorf(e.Pos, "knob %s: unknown value %q (%s)", kn.name, e.Name, kn.vocabDoc)
 		}
-	case ExprNum, ExprCall, ExprOp:
-		v.errorf(e.Pos, "knob %s takes a name (%s), not an expression", kn.name, kn.vocabDoc)
 	default:
 		v.errorf(e.Pos, "knob %s takes a name (%s), not an expression", kn.name, kn.vocabDoc)
 	}

@@ -149,6 +149,25 @@ EMIT csv(results/t.csv)
 			`t.airql:3:7: axis speed holds names but is not a knob; string axes must be knobs (e.g. scheme)`,
 			`t.airql:4:11: table t: the x expression must be numeric`,
 		}},
+		{"fault retries and recovery with the layer off", `
+SET scheme=dist fault.retries=5 fault.recovery=cycle
+SWEEP records=1000,2000
+TABLE t x(records)
+COL "a" mean(access)
+EMIT csv(results/t.csv)
+`, []string{
+			`t.airql:2:17: knob fault.retries needs fault.model (other than none) or fault.rate; without either the fault layer stays off and the knob does nothing`,
+			`t.airql:2:33: knob fault.recovery needs fault.model (other than none) or fault.rate; without either the fault layer stays off and the knob does nothing`,
+		}},
+		{"fault retries under the none model", `
+SET scheme=dist fault.model=none fault.rate=0.1 fault.retries=5
+SWEEP records=1000,2000
+TABLE t x(records)
+COL "a" mean(access)
+EMIT csv(results/t.csv)
+`, []string{
+			`t.airql:2:49: knob fault.retries needs fault.model (other than none) or fault.rate; without either the fault layer stays off and the knob does nothing`,
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -186,6 +205,22 @@ COL "access (S)" mean(access)
 COL "cycle" cycle_bytes
 NOTE "workload: {records} records over {count(dist.r)} depths"
 EMIT csv(results/a.csv)
+`,
+		`
+SWEEP faultrate=0,0.1
+SWEEP scheme=dist
+SET fault.retries=3 fault.recovery=cycle
+TABLE t x(faultrate)
+COL "a" mean(access)
+EMIT csv(results/t.csv)
+`,
+		`
+SWEEP fault.model=none,ge
+SWEEP records=1000,2000
+SET scheme=dist fault.rate=0.1 fault.retries=3
+TABLE t x(records)
+COL "a" mean(access){fault.model=ge}
+EMIT csv(results/t.csv)
 `,
 		`
 SWEEP pct=0,50,100

@@ -232,7 +232,7 @@ func TestAnalyzers(t *testing.T) {
 		}},
 		// maporder: map-iteration-ordered keys reach a CSV writer, an
 		// fmt sink and a core.Result field without a sort in between.
-		{"internal/experiments/mapbad", []string{
+		{"cmd/airql/mapbad", []string{
 			"mapbad.go:24: maporder",
 			"mapbad.go:34: maporder",
 			"mapbad.go:43: maporder",
@@ -240,7 +240,17 @@ func TestAnalyzers(t *testing.T) {
 		}},
 		// maporder negatives: sort kills the taint on every path, and
 		// len() of a tainted slice is order-free.
-		{"internal/experiments/mapgood", nil},
+		{"cmd/airql/mapgood", nil},
+		// seedtaint: a wall-clock seed in the argument list of each
+		// sanctioned constructor. determinism co-reports the reads.
+		{"internal/faults/seedclock", []string{
+			"seedclock.go:14: seedtaint",
+			"seedclock.go:14: determinism",
+			"seedclock.go:15: seedtaint",
+			"seedclock.go:15: determinism",
+			"seedclock.go:16: seedtaint",
+			"seedclock.go:16: determinism",
+		}},
 		// seedtaint negatives: seed laundered through struct fields and
 		// a same-package helper still traces back to the seed plane.
 		{"internal/core/seedgood", nil},

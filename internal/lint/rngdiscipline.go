@@ -20,13 +20,14 @@ import (
 //     decorrelation and is flagged;
 //   - a StreamSeed label must be a non-empty compile-time string
 //     literal — a computed label cannot be audited for uniqueness;
-//   - seeding any sanctioned constructor from package time is flagged
-//     (a wall-clock seed makes the run unreproducible);
 //   - reusing a label, within or across packages, is flagged at every
 //     site after the first: identical labels yield identical
 //     substreams, silently correlating supposedly independent
 //     processes. Cross-package duplicates are only visible to CheckAll,
 //     which sees every call site in one run.
+//
+// Where a seed comes from (the wall clock, or anything else off the seed
+// plane) is seedtaint's question, answered by dataflow.
 var RNGDisciplineAnalyzer = &Analyzer{
 	Name: "rngdiscipline",
 	Doc:  "randomness must derive from sim.StreamSeed/NewShardRNG with distinct string-literal labels",
@@ -71,16 +72,8 @@ func runRNGDiscipline(pass *Pass) {
 					}
 				}
 			}
-			fn := simRNGFunc(pass, call)
-			if fn == nil {
-				return true
-			}
-			switch fn.Name() {
-			case "StreamSeed":
+			if fn := simRNGFunc(pass, call); fn != nil && fn.Name() == "StreamSeed" {
 				checkStreamSeedLabel(pass, call)
-				checkWallClockSeed(pass, call)
-			case "NewRNG", "NewShardRNG":
-				checkWallClockSeed(pass, call)
 			}
 			return true
 		})
@@ -103,26 +96,6 @@ func checkStreamSeedLabel(pass *Pass, call *ast.CallExpr) {
 	if constant.StringVal(tv.Value) == "" {
 		pass.Reportf(arg.Pos(),
 			"StreamSeed label is empty; name the substream so its identity is auditable")
-	}
-}
-
-// checkWallClockSeed flags seed arguments that reach into package time:
-// a wall-clock-derived seed breaks replayability no matter how
-// disciplined the downstream substreams are.
-func checkWallClockSeed(pass *Pass, call *ast.CallExpr) {
-	for _, arg := range call.Args {
-		ast.Inspect(arg, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			if obj := pass.Info.Uses[sel.Sel]; obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "time" {
-				pass.Reportf(sel.Pos(),
-					"seed derives from the wall clock; seeds must come from configuration so runs replay from their seed")
-				return false
-			}
-			return true
-		})
 	}
 }
 

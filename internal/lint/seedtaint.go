@@ -9,12 +9,9 @@ import (
 	"github.com/airindex/airindex/internal/lint/flow"
 )
 
-// SeedTaintAnalyzer is the flow-sensitive upgrade of rngdiscipline's
-// call-site check. rngdiscipline only accepts what it can see in the
-// argument expression; seedtaint instead asks where the value *came
-// from*: every value feeding an RNG construction (sim.NewRNG,
-// sim.NewShardRNG, sim.StreamSeed) must be data-flow-reachable from the
-// seed plane — a Seed-named config field, a seed-named parameter, or the
+// SeedTaintAnalyzer asks where every seed *came from*: every value
+// feeding an RNG construction (sim.NewRNG, sim.NewShardRNG,
+// sim.StreamSeed) must be data-flow-reachable from the seed plane — a Seed-named config field, a seed-named parameter, or the
 // result of a sim substream derivation — even when it was laundered
 // through locals, struct fields, or same-package helper returns.
 //
@@ -24,8 +21,8 @@ import (
 // per-parameter bits so that bounded same-package function summaries can
 // substitute caller arguments at call sites.
 //
-// Scope: the simulation-critical packages plus internal/experiments,
-// minus internal/sim itself (the substream derivations live there).
+// Scope: the simulation-critical packages, minus internal/sim itself
+// (the substream derivations live there).
 var SeedTaintAnalyzer = &Analyzer{
 	Name: "seedtaint",
 	Doc:  "values feeding RNG constructions must be data-flow-reachable from Config.Seed / sim.StreamSeed",
@@ -54,7 +51,7 @@ func seedTaintScope(rel string) bool {
 	if underAny(rel, seedTaintExempt) {
 		return false
 	}
-	return underAny(rel, simCritical) || underAny(rel, []string{"internal/experiments"})
+	return underAny(rel, simCritical)
 }
 
 func runSeedTaint(pass *Pass) {

@@ -1,6 +1,6 @@
-// Package seedbad launders nondeterministic seeds far enough from the
-// construction site that rngdiscipline's call-site check cannot see
-// them; seedtaint's dataflow still can.
+// Package seedbad launders nondeterministic seeds away from the
+// construction site, through locals, struct fields and parameters;
+// seedtaint's dataflow still traces them.
 package seedbad
 
 import (

@@ -1,9 +1,9 @@
 // Package scenarios embeds the airql scripts that generate every
 // experiment family. The scripts are the single source of truth for the
-// sweeps: internal/experiments compiles them at run time, `cmd/airql`
-// compiles them (or any on-disk script) directly, and the airql-regen CI
-// job recompiles every one of them and byte-diffs the CSVs it emits
-// against the committed results/.
+// sweeps: `cmd/airql` runs them by name (or any on-disk script), the
+// paper-shape tests and the root benchmarks compile the same texts, and
+// the airql-regen CI job recompiles every one of them and byte-diffs the
+// CSVs it emits against the committed results/.
 package scenarios
 
 import (
