@@ -24,8 +24,8 @@ import (
 	"syscall"
 
 	"github.com/airindex/airindex/internal/access"
-	"github.com/airindex/airindex/internal/aircast"
 	"github.com/airindex/airindex/internal/airborne"
+	"github.com/airindex/airindex/internal/aircast"
 	"github.com/airindex/airindex/internal/core"
 	"github.com/airindex/airindex/internal/datagen"
 	"github.com/airindex/airindex/internal/faults"

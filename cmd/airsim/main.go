@@ -14,9 +14,9 @@
 //
 // Each -set knob=value is a setting from airql's knob table (DESIGN.md
 // §11), applied after the flags above: the fault layer (fault.model,
-// fault.rate, fault.retries, fault.recovery), the K-channel layer
-// (multi.*), the legacy biterror, and the rest of the table bar scheme
-// and records. A fault.rate with no fault.model means the drop model.
+// fault.rate, fault.retries, fault.recovery), the one error layer; the
+// K-channel layer (multi.*); and the rest of the table bar scheme and
+// records. A fault.rate with no fault.model means the drop model.
 package main
 
 import (

@@ -25,7 +25,7 @@ func TestRunSmallSimulation(t *testing.T) {
 func TestRunWithErrorInjection(t *testing.T) {
 	var out bytes.Buffer
 	err := run([]string{
-		"-scheme", "hashing", "-records", "200", "-set", "biterror=0.1",
+		"-scheme", "hashing", "-records", "200", "-set", "fault.model=drop", "-set", "fault.rate=0.1",
 		"-min-requests", "200", "-max-requests", "400", "-accuracy", "0.2", "-round", "100",
 	}, &out)
 	if err != nil {
@@ -55,9 +55,8 @@ func TestRunWithFaultFlags(t *testing.T) {
 	}
 }
 
-// TestRunRejectsBadFaultFlags: unknown model and recovery names, a
-// retry budget with no fault model, and mixing the legacy biterror layer
-// with a fault model, are refused.
+// TestRunRejectsBadFaultFlags: unknown model and recovery names and a
+// retry budget with no fault model are refused.
 func TestRunRejectsBadFaultFlags(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-set", "fault.model=bogus", "-records", "100"}, &out); err == nil {
@@ -69,9 +68,6 @@ func TestRunRejectsBadFaultFlags(t *testing.T) {
 	err := run([]string{"-set", "fault.retries=3", "-records", "100"}, &out)
 	if err == nil || !strings.Contains(err.Error(), "-set:1:1: knob fault.retries needs fault.model") {
 		t.Fatalf("retries without a fault model: got %v", err)
-	}
-	if err := run([]string{"-set", "fault.model=drop", "-set", "fault.rate=0.1", "-set", "biterror=0.1", "-records", "100"}, &out); err == nil {
-		t.Fatal("legacy biterror combined with a fault model accepted")
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"github.com/airindex/airindex/internal/access"
 	"github.com/airindex/airindex/internal/core"
 	"github.com/airindex/airindex/internal/datagen"
+	"github.com/airindex/airindex/internal/faults"
 	"github.com/airindex/airindex/internal/sim"
 	"github.com/airindex/airindex/internal/units"
 )
@@ -148,12 +149,14 @@ func TestFaultyWalkAcrossSchemes(t *testing.T) {
 	ds, schemes := buildAll(t, 400)
 	for name, bc := range schemes {
 		rng := sim.NewRNG(7)
+		inj := faults.New(faults.FromRate(faults.ModelDrop, 0.05), 7, 0)
 		found := 0
 		for i := 0; i < 60; i++ {
 			key := ds.KeyAt(rng.Intn(ds.Len()))
-			res, err := access.WalkFaulty(bc.Channel(),
+			inj.StartRequest()
+			res, err := access.WalkRecover(bc.Channel(),
 				func() access.Client { return bc.NewClient(key) },
-				sim.Time(rng.Int63n(int64(bc.Channel().CycleLen()))), 0.05, rng.Float64, 0)
+				sim.Time(rng.Int63n(int64(bc.Channel().CycleLen()))), inj, access.RecoverPolicy{}, 0)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}

@@ -12,8 +12,6 @@
 package access
 
 import (
-	"fmt"
-
 	"github.com/airindex/airindex/internal/channel"
 	"github.com/airindex/airindex/internal/sim"
 	"github.com/airindex/airindex/internal/units"
@@ -120,40 +118,6 @@ const DefaultMaxSteps = 1 << 22
 //
 //airlint:hotpath
 func Walk(ch *channel.Channel, c Client, arrival sim.Time, maxSteps int) (Result, error) {
-	if maxSteps <= 0 {
-		maxSteps = DefaultMaxSteps
-	}
-	var res Result
-	idx, start := ch.NextBucketAt(arrival)
-	for step := 0; step < maxSteps; step++ {
-		end := ch.EndGiven(idx, start)
-		res.Tuning += ch.SizeOf(idx)
-		res.Probes++
-		s := c.OnBucket(idx, end)
-		switch s.Kind {
-		case StepNext:
-			// Buckets are contiguous: the next one starts where this ended.
-			idx = idx.Next(ch.NumBuckets())
-			start = end
-		case StepDoze:
-			if s.At < end {
-				//airlint:allow escapecheck fmt.Errorf boxes its operands on this terminal error path
-				return res, fmt.Errorf("access: client dozed into the past: %d < %d", s.At, end) //airlint:allow hotalloc terminal protocol-violation path, never taken by a correct client
-			}
-			if s.Hint.InCycle(ch.NumBuckets()) && units.CycleOffset(s.At, ch.CycleLen()) == ch.StartInCycle(s.Hint) {
-				idx, start = s.Hint, s.At
-			} else {
-				idx, start = ch.NextBucketAt(s.At)
-			}
-		case StepDone:
-			res.Access = units.Elapsed(arrival, end)
-			res.Found = s.Found
-			return res, nil
-		default:
-			//airlint:allow escapecheck fmt.Errorf boxes its operands on this terminal error path
-			return res, fmt.Errorf("access: invalid step kind %d", s.Kind) //airlint:allow hotalloc terminal protocol-violation path, never taken by a correct client
-		}
-	}
-	//airlint:allow escapecheck fmt.Errorf boxes its operands on this terminal error path
-	return res, fmt.Errorf("access: query exceeded %d steps without terminating", maxSteps) //airlint:allow hotalloc terminal budget-exhaustion path, once per failed query
+	r, err := walk(ch, nil, c, nil, arrival, nil, RecoverPolicy{}, maxSteps)
+	return r.Result, err
 }

@@ -74,7 +74,6 @@ func TestWalkersAllocFree(t *testing.T) {
 		lc.reads = 0
 		return lc
 	}
-	rnd := func() float64 { return 0.99 }
 	var err error
 
 	table := map[string]func(){
@@ -82,15 +81,8 @@ func TestWalkersAllocFree(t *testing.T) {
 			lc.reads = 0
 			_, err = Walk(ch, lc, 3, 0)
 		},
-		"WalkFaulty": func() {
-			_, err = WalkFaulty(ch, newCli, 3, 0, rnd, 0)
-		},
 		"WalkRecover": func() {
 			_, err = WalkRecover(ch, newCli, 3, nil, RecoverPolicy{}, 0)
-		},
-		"WalkMulti": func() {
-			lc.reads = 0
-			_, err = WalkMulti(set, lc, 3, 0)
 		},
 		"WalkRecoverMulti": func() {
 			_, err = WalkRecoverMulti(set, newCli, 3, nil, RecoverPolicy{}, 0)

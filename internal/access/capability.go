@@ -22,8 +22,8 @@ import (
 // the event engine resolves in O(probes) interface calls collapses to
 // O(1) (flat) or O(log occurrences) (bdisk) integer math, which is what
 // lets a 10⁶-request cohort run finish in seconds. The capability is
-// only consulted on perfect single-channel runs; faults, the legacy
-// BitErrorRate layer and multichannel allocations always walk.
+// only consulted on perfect single-channel runs; faults and
+// multichannel allocations always walk.
 type Resolver interface {
 	Resolve(key uint64, arrival sim.Time) (Result, bool)
 }

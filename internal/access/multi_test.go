@@ -33,6 +33,13 @@ func k1Set(t *testing.T, ch *channel.Channel) *multichannel.Set {
 	return set
 }
 
+// walkOnSet walks one client over a perfect K-channel set:
+// WalkRecoverMulti with a nil Corrupter, the path a clean multichannel
+// run takes.
+func walkOnSet(set *multichannel.Set, c Client, arrival sim.Time, maxSteps int) (MultiResult, error) {
+	return WalkRecoverMulti(set, func() Client { return c }, arrival, nil, RecoverPolicy{}, maxSteps)
+}
+
 // hopClient is a protocol-shaped client: it alternates serial reads and
 // hinted dozes (computed with NextOccurrence against the logical cycle,
 // exactly like the real schemes) and finishes after a fixed number of
@@ -57,9 +64,9 @@ func (c *hopClient) OnBucket(i units.BucketIndex, end sim.Time) Step {
 }
 
 // TestWalkMultiK1Identity pins the K=1 identity guarantee at the walker
-// level: for a protocol-shaped client over an uneven cycle, WalkMulti on
-// a one-channel replicated set must reproduce Walk exactly at every
-// arrival offset.
+// level: for a protocol-shaped client over an uneven cycle, the clean
+// multichannel walk on a one-channel replicated set must reproduce Walk
+// exactly at every arrival offset.
 func TestWalkMultiK1Identity(t *testing.T) {
 	ch := testChannel(t, 10, 25, 5, 30, 10)
 	set := k1Set(t, ch)
@@ -69,12 +76,12 @@ func TestWalkMultiK1Identity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := WalkMulti(set, &hopClient{ch: ch, stride: 3, quota: 6}, sim.Time(arrival), 0)
+		got, err := walkOnSet(set, &hopClient{ch: ch, stride: 3, quota: 6}, sim.Time(arrival), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got.Result != want {
-			t.Fatalf("arrival %d: WalkMulti %+v, Walk %+v", arrival, got.Result, want)
+			t.Fatalf("arrival %d: multichannel walk %+v, Walk %+v", arrival, got.Result, want)
 		}
 		if got.Switches != 0 || got.SwitchWait != 0 {
 			t.Fatalf("arrival %d: K=1 walk hopped: %d switches", arrival, got.Switches)
@@ -129,7 +136,7 @@ func TestWalkMultiHopsToStaggeredReplica(t *testing.T) {
 	// Read bucket 0 (ends at 10), then doze to bucket 0's next broadcast:
 	// channel 0 has it at 40, channel 1 (phase 20) at 20 — hop wins.
 	c := &scriptClient{steps: []Step{DozeAt(0, ch.NextOccurrence(0, 10)), Done(true)}}
-	res, err := WalkMulti(set, c, 0, 0)
+	res, err := walkOnSet(set, c, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +167,7 @@ func TestWalkMultiSwitchCostGatesHops(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := &scriptClient{steps: []Step{DozeAt(0, ch.NextOccurrence(0, 10)), Done(true)}}
-	res, err := WalkMulti(set, c, 0, 0)
+	res, err := walkOnSet(set, c, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +185,7 @@ func TestWalkMultiSwitchCostGatesHops(t *testing.T) {
 		t.Fatal(err)
 	}
 	c = &scriptClient{steps: []Step{DozeAt(0, ch.NextOccurrence(0, 10)), Done(true)}}
-	res, err = WalkMulti(set, c, 0, 0)
+	res, err = walkOnSet(set, c, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +207,7 @@ func TestWalkMultiSerialScanStaysPut(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := &scriptClient{steps: []Step{Next(), Next(), Next(), Next(), Next(), Done(true)}}
-	res, err := WalkMulti(set, c, 4, 0)
+	res, err := walkOnSet(set, c, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +237,7 @@ func TestWalkMultiIndexDataFollowsPointerAcrossChannels(t *testing.T) {
 	// 1, whose cycle is the 120 data bytes; bucket 3 is local 1 at offset
 	// 30.
 	c := &scriptClient{steps: []Step{DozeAt(3, ch.NextOccurrence(3, 10)), Done(true)}}
-	res, err := WalkMulti(set, c, 0, 0)
+	res, err := walkOnSet(set, c, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +264,7 @@ func TestWalkMultiUnhintedDozeStaysOnChannel(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := &scriptClient{steps: []Step{Doze(35), Done(true)}}
-	res, err := WalkMulti(set, c, 0, 0)
+	res, err := walkOnSet(set, c, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +281,7 @@ func TestWalkMultiDozePastError(t *testing.T) {
 	ch := testChannel(t, 10, 10)
 	set := k1Set(t, ch)
 	c := &scriptClient{steps: []Step{Doze(3)}}
-	if _, err := WalkMulti(set, c, 0, 0); err == nil {
+	if _, err := walkOnSet(set, c, 0, 0); err == nil {
 		t.Fatal("doze into the past should error")
 	}
 }

@@ -1,9 +1,8 @@
 package access
 
 import (
-	"fmt"
-
 	"github.com/airindex/airindex/internal/channel"
+	"github.com/airindex/airindex/internal/multichannel"
 	"github.com/airindex/airindex/internal/sim"
 	"github.com/airindex/airindex/internal/units"
 )
@@ -36,9 +35,36 @@ type RecoverPolicy struct {
 	// unbounded — note that a serial scheme (flat, signature) can only
 	// conclude a key is absent after a full clean pass of the cycle, so at
 	// high error rates an unbounded search for a missing key may never
-	// terminate (WalkRecover then fails on its step budget); bound the
+	// terminate (the walk then fails on its step budget); bound the
 	// retries when data availability is below 100%.
 	MaxRetries int
+}
+
+// FaultyResult extends Result with error-recovery accounting.
+type FaultyResult struct {
+	Result
+	// Restarts counts protocol restarts forced by corrupted buckets (the
+	// request's retry count).
+	Restarts int
+	// Wasted is the tuning spent on reads that turned out corrupted: bytes
+	// the receiver listened to and then had to discard.
+	Wasted units.ByteCount
+	// Unrecovered reports that the request was abandoned after exhausting
+	// its retry budget — an unrecoverable miss, distinct from a clean
+	// not-found outcome.
+	Unrecovered bool
+}
+
+// MultiResult extends FaultyResult with channel-hopping accounting.
+type MultiResult struct {
+	FaultyResult
+	// Switches counts channel hops the receiver performed after its
+	// initial (free) tune.
+	Switches int
+	// SwitchWait is the total retune cost in bytes across those hops. The
+	// receiver dozes through it, so it is included in Access but never in
+	// Tuning.
+	SwitchWait units.ByteCount
 }
 
 // WalkRecover executes one query over an unreliable channel: Walk's
@@ -52,66 +78,39 @@ type RecoverPolicy struct {
 //
 //airlint:hotpath
 func WalkRecover(ch *channel.Channel, newClient func() Client, arrival sim.Time, inj Corrupter, pol RecoverPolicy, maxSteps int) (FaultyResult, error) {
-	if maxSteps <= 0 {
-		maxSteps = DefaultMaxSteps
-	}
-	var res FaultyResult
-	c := newClient()
-	idx, start := ch.NextBucketAt(arrival)
-	for step := 0; step < maxSteps; step++ {
-		end := ch.EndGiven(idx, start)
-		size := ch.SizeOf(idx)
-		probe := res.Probes // 0-based read index within this request
-		res.Tuning += size
-		res.Probes++
-		if inj != nil && inj.Corrupt(probe, size) {
-			res.Restarts++
-			res.Wasted += size
-			if pol.MaxRetries > 0 && res.Restarts > pol.MaxRetries {
-				// Retry budget exhausted: abandon the request. The time
-				// already spent still counts — the user waited for it.
-				res.Access = units.Elapsed(arrival, end)
-				res.Found = false
-				res.Unrecovered = true
-				return res, nil
-			}
-			c = newClient()
-			if pol.NextCycle {
-				// Doze (no tuning cost) until the cycle restarts.
-				idx, start = ch.NextBucketAt(ch.NextCycleStart(end))
-			} else {
-				idx, start = ch.NextBucketAt(end)
-			}
-			continue
-		}
-		s := c.OnBucket(idx, end)
-		switch s.Kind {
-		case StepNext:
-			idx = idx.Next(ch.NumBuckets())
-			start = end
-		case StepDoze:
-			if s.At < end {
-				//airlint:allow escapecheck fmt.Errorf boxes its operands on this terminal error path
-				return res, fmt.Errorf("access: client dozed into the past: %d < %d", s.At, end) //airlint:allow hotalloc terminal protocol-violation path, never taken by a correct client
-			}
-			if s.Hint.InCycle(ch.NumBuckets()) && units.CycleOffset(s.At, ch.CycleLen()) == ch.StartInCycle(s.Hint) {
-				idx, start = s.Hint, s.At
-			} else {
-				idx, start = ch.NextBucketAt(s.At)
-			}
-		case StepDone:
-			res.Access = units.Elapsed(arrival, end)
-			res.Found = s.Found
-			return res, nil
-		default:
-			//airlint:allow escapecheck fmt.Errorf boxes its operands on this terminal error path
-			return res, fmt.Errorf("access: invalid step kind %d", s.Kind) //airlint:allow hotalloc terminal protocol-violation path, never taken by a correct client
-		}
-	}
-	if pol.MaxRetries <= 0 {
-		//airlint:allow escapecheck fmt.Errorf boxes its operands on this terminal error path
-		return res, fmt.Errorf("access: recovering query exceeded %d steps without terminating (unbounded retries; bound RecoverPolicy.MaxRetries — at this error rate the scheme cannot complete a clean pass)", maxSteps) //airlint:allow hotalloc terminal budget-exhaustion path, once per failed query
-	}
-	//airlint:allow escapecheck fmt.Errorf boxes its operands on this terminal error path
-	return res, fmt.Errorf("access: recovering query exceeded %d steps without terminating", maxSteps) //airlint:allow hotalloc terminal budget-exhaustion path, once per failed query
+	r, err := walk(ch, nil, newClient(), newClient, arrival, inj, pol, maxSteps)
+	return r.FaultyResult, err
+}
+
+// WalkRecoverMulti is WalkRecover against a K-channel allocation. Wherever
+// the single-channel walk waits for a bucket's next occurrence on the one
+// channel, the multichannel walk waits for its earliest feasible
+// occurrence across all channels that carry it — staying on the current
+// channel is free, hopping costs the set's switch cost in dozed bytes.
+// Concretely:
+//
+//   - the initial tune locks onto the earliest complete bucket on any
+//     channel (no switch cost: the receiver was not tuned yet);
+//   - StepNext seeks the next logical bucket, which on the current
+//     channel is the contiguous next bucket whenever the channel carries
+//     it (so a serial scan stays put), and may be a hop otherwise;
+//   - a hinted doze (DozeAt) seeks the hinted bucket's earliest feasible
+//     occurrence — the hint names a logical bucket, so the walker
+//     recomputes occurrence times per channel instead of trusting the
+//     client's single-channel wake time;
+//   - an unhinted doze stays on the current channel and wakes at the next
+//     complete bucket at or after the requested time;
+//   - recovery after a corrupted read keeps the receiver on its current
+//     channel — a corrupted read says nothing about where to go, so the
+//     client re-tunes in place (RecoverPolicy.NextCycle waits for the
+//     current channel's next cycle start).
+//
+// inj may be nil for a perfect channel. With one channel under
+// PolicyReplicated and zero switch cost every query reproduces
+// WalkRecover (and, with a nil inj, Walk) byte for byte — the K=1
+// identity guarantee; see DESIGN.md §8.
+//
+//airlint:hotpath
+func WalkRecoverMulti(set *multichannel.Set, newClient func() Client, arrival sim.Time, inj Corrupter, pol RecoverPolicy, maxSteps int) (MultiResult, error) {
+	return walk(nil, set, newClient(), newClient, arrival, inj, pol, maxSteps)
 }

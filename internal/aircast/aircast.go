@@ -139,9 +139,9 @@ type Config struct {
 	// Chaos switches the transport chaos proxy; ChaosFaults selects the
 	// deterministic error model and ChaosSeed its substream, exactly as
 	// in the simulator's unreliable-channel layer.
-	Chaos      ChaosKind
+	Chaos       ChaosKind
 	ChaosFaults faults.Config
-	ChaosSeed  int64
+	ChaosSeed   int64
 }
 
 // DefaultReaderQueue is the per-reader bounded queue length used when

@@ -9,8 +9,8 @@ import (
 	"testing"
 
 	"github.com/airindex/airindex/internal/access"
-	"github.com/airindex/airindex/internal/aircast"
 	"github.com/airindex/airindex/internal/airborne"
+	"github.com/airindex/airindex/internal/aircast"
 	"github.com/airindex/airindex/internal/core"
 	"github.com/airindex/airindex/internal/datagen"
 	"github.com/airindex/airindex/internal/schemes/dist"

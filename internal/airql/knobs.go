@@ -242,10 +242,6 @@ var knobTable = []knob{
 		apply: func(cfg *core.Config, pf *pointFaults, v Scalar) { cfg.ZipfS = v.Num },
 	},
 	{
-		name: "biterror", doc: "legacy per-read bit error rate", min: 0, max: unbounded, maxExcl: 1,
-		apply: func(cfg *core.Config, pf *pointFaults, v Scalar) { cfg.BitErrorRate = v.Num },
-	},
-	{
 		name: "dozeratio", doc: "doze-mode power relative to active listening", min: 0, max: 1,
 		apply: func(cfg *core.Config, pf *pointFaults, v Scalar) { cfg.DozePowerRatio = v.Num },
 	},
@@ -291,17 +287,17 @@ var knobTable = []knob{
 	{
 		name: "signature.bits", doc: "bits set per indexed field", isInt: true, min: 1, max: unbounded,
 		schemes: sigFamily,
-		apply: func(cfg *core.Config, pf *pointFaults, v Scalar) { cfg.Signature.BitsPerField = int(v.Num) },
+		apply:   func(cfg *core.Config, pf *pointFaults, v Scalar) { cfg.Signature.BitsPerField = int(v.Num) },
 	},
 	{
 		name: "signature.groupsize", doc: "records per signature group", isInt: true, min: 1, max: unbounded,
 		schemes: []string{"signature-integrated", "signature-multilevel"},
-		apply: func(cfg *core.Config, pf *pointFaults, v Scalar) { cfg.Signature.GroupSize = int(v.Num) },
+		apply:   func(cfg *core.Config, pf *pointFaults, v Scalar) { cfg.Signature.GroupSize = int(v.Num) },
 	},
 	{
 		name: "hybrid.groupsize", doc: "records per indexed signature group", isInt: true, min: 1, max: unbounded,
 		schemes: []string{"hybrid"},
-		apply: func(cfg *core.Config, pf *pointFaults, v Scalar) { cfg.Hybrid.GroupSize = int(v.Num) },
+		apply:   func(cfg *core.Config, pf *pointFaults, v Scalar) { cfg.Hybrid.GroupSize = int(v.Num) },
 	},
 	{
 		name: "fault.model", doc: "unreliable-channel error model", isString: true,

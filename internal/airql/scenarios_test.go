@@ -533,14 +533,53 @@ func TestFaultSweepDeterministic(t *testing.T) {
 	}
 }
 
-// TestAblateErrorsIgnoresSessionFaults: the legacy BitErrorRate ablation
-// clears any session-wide fault setting (the two layers are mutually
-// exclusive), so `airql -set fault.model=... scenarios/*.airql` still
-// runs it.
+// TestAblateErrorsIgnoresSessionFaults: the ablation sets its own fault
+// model, which replaces any session-wide fault setting wholesale, so
+// `airql -set fault.model=... scenarios/*.airql` reproduces its table.
 func TestAblateErrorsIgnoresSessionFaults(t *testing.T) {
 	opt := fast
 	opt.Settings = settings(t, "fault.model=iid", "fault.rate=0.01")
-	runScenario(t, "ablate-errors", opt)
+	if got, want := csvBytes(t, "ablate-errors", opt), csvBytes(t, "ablate-errors", fast); !bytes.Equal(got, want) {
+		t.Errorf("session faults changed the ablation:\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestAblateErrorsMatchesFaultsSweep ties the ablation to the faults
+// family, which runs the same drop model over the same records: at every
+// rate the two sweeps share, each ablation cell equals the faults-at,
+// faults-tt or faults-recovery cell of the same scheme and metric.
+func TestAblateErrorsMatchesFaultsSweep(t *testing.T) {
+	abl := runScenario(t, "ablate-errors", fast)[0]
+	fam := map[string]*Table{}
+	for _, tb := range runScenario(t, "faults", fast) {
+		fam[tb.ID] = tb
+	}
+	cells := 0
+	for _, scheme := range []string{"distributed", "signature"} {
+		for _, m := range []struct{ ablation, table, column string }{
+			{scheme + " access", "faults-at", scheme},
+			{scheme + " tuning", "faults-tt", scheme},
+			{scheme + " restarts/req", "faults-recovery", scheme + " restarts/req"},
+		} {
+			got := col(t, abl, m.ablation)
+			want := col(t, fam[m.table], m.column)
+			for i, row := range abl.Rows {
+				for j, frow := range fam[m.table].Rows {
+					// faults-* plot the rate in percent.
+					if frow.X != row.X*100 {
+						continue
+					}
+					cells++
+					if got[i] != want[j] {
+						t.Errorf("rate %v: ablation %q = %v, %s %q = %v", row.X, m.ablation, got[i], m.table, m.column, want[j])
+					}
+				}
+			}
+		}
+	}
+	if want := 6 * len(abl.Rows); cells != want {
+		t.Fatalf("compared %d cells, want %d: every ablation rate must appear in the faults sweep", cells, want)
+	}
 }
 
 // TestMultiK1ReproducesFigures is the subsystem's differential anchor

@@ -41,7 +41,7 @@ TABLE t x(records)
 COL "a" mean(access)
 EMIT csv(results/t.csv)
 `, []string{
-			`t.airql:2:17: unknown knob "recordz" (knobs: scheme, records, availability, requestmean, zipfs, biterror, dozeratio, data.recordbytes, data.keybytes, data.attrs, dist.r, onem.m, hashing.load, signature.sigbytes, signature.bits, signature.groupsize, hybrid.groupsize, fault.model, fault.rate, fault.retries, fault.recovery, multi.channels, multi.switchcost, multi.policy, multi.indexchannels, multi.skew)`,
+			`t.airql:2:17: unknown knob "recordz" (knobs: scheme, records, availability, requestmean, zipfs, dozeratio, data.recordbytes, data.keybytes, data.attrs, dist.r, onem.m, hashing.load, signature.sigbytes, signature.bits, signature.groupsize, hybrid.groupsize, fault.model, fault.rate, fault.retries, fault.recovery, multi.channels, multi.switchcost, multi.policy, multi.indexchannels, multi.skew)`,
 		}},
 		{"unknown scheme", `SWEEP scheme=flat,turbo`, []string{
 			`t.airql:1:19: knob scheme: unknown value "turbo" (schemes: bdisk, dist, distributed, flat, hash, hashing, hybrid, onem, sig, sig_integrated, sig_multilevel, signature)`,

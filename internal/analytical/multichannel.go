@@ -63,7 +63,7 @@ func OneMAccessK(p TreeParams, m, k int) float64 {
 	stagger := n / float64(k)
 	return OneMAccess(p, m) - seg/2 - n/2 +
 		WrapWait(seg, stagger) + WrapWait(n, stagger) +
-		t / 2 * (1 - 1/float64(k))
+		t/2*(1-1/float64(k))
 }
 
 // DistAccessK returns distributed-indexing access time in Dt units on a

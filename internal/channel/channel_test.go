@@ -254,7 +254,7 @@ func TestBoundaryArithmetic(t *testing.T) {
 			t.Errorf("NextOccurrence(2, %d) = %d, want %d", at, got, at+30)
 		}
 		// One byte earlier: still inside the previous cycle's final bucket.
-		if idx, start := c.InFlightAt(at-1); idx != 2 || start != at-30 {
+		if idx, start := c.InFlightAt(at - 1); idx != 2 || start != at-30 {
 			t.Errorf("InFlightAt(%d) = (%d, %d), want (2, %d)", at-1, idx, start, at-30)
 		}
 	}

@@ -1,6 +1,7 @@
 package cohort
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/airindex/airindex/internal/access"
@@ -139,7 +140,7 @@ func TestResetPreservesClientsAndZeroesResults(t *testing.T) {
 			t.Fatalf("lane %d not reset: %+v", i, b.State[i])
 		}
 	}
-	if b.FailLane != -1 || b.FailKind != FailNone {
+	if b.FailLane != -1 || b.Err != nil {
 		t.Fatal("failure fields not reset")
 	}
 	b.Reset(16) // grow
@@ -162,7 +163,7 @@ func TestAdvanceCleanBudget(t *testing.T) {
 	if b.AdvanceClean(bc.Channel(), 1) {
 		t.Fatal("one-step budget should fail a multi-bucket scan")
 	}
-	if b.FailKind != FailBudget || b.FailLane < 0 || b.State[b.FailLane] != LaneFailed {
-		t.Fatalf("budget failure not recorded: kind=%d lane=%d", b.FailKind, b.FailLane)
+	if b.Err == nil || !strings.Contains(b.Err.Error(), "exceeded 1 steps") || b.FailLane < 0 || b.State[b.FailLane] != LaneFailed {
+		t.Fatalf("budget failure not recorded: err=%v lane=%d", b.Err, b.FailLane)
 	}
 }

@@ -14,10 +14,9 @@
 //   - ResolveLanes, when the broadcast implements access.Resolver:
 //     the whole walk collapses to closed-form occurrence arithmetic
 //     per lane (serial-scan schemes answer in O(1)–O(log) integer math);
-//   - AdvanceClean, the stepped kernel: the same loop body as
-//     access.Walk, inlined over the columns, driving the per-lane
-//     protocol state machines (the Clients column) with no Result
-//     values, closures or error allocations on the hot path.
+//   - AdvanceClean, the stepped kernel: access.Walk once per lane,
+//     driving the per-lane protocol state machines (the Clients column)
+//     with no closures or allocations on the hot path.
 //
 // Lanes of a clean single-channel batch share no mutable state — the
 // channel is immutable and each client is private to its lane — so the
@@ -51,22 +50,8 @@ const (
 	// LaneDone marks a lane whose result columns are valid.
 	LaneDone
 	// LaneFailed marks a lane whose walk violated the protocol contract;
-	// the batch's Fail* fields identify the failure.
+	// the batch's FailLane and Err fields identify the failure.
 	LaneFailed
-)
-
-// FailKind classifies a failed lane, mirroring access.Walk's error cases.
-type FailKind uint8
-
-const (
-	// FailNone means no lane failed.
-	FailNone FailKind = iota
-	// FailPastDoze is a client dozing before the current bucket's end.
-	FailPastDoze
-	// FailBadStep is an invalid StepKind from a client.
-	FailBadStep
-	// FailBudget is a walk exceeding its step budget.
-	FailBudget
 )
 
 // Batch is the struct-of-arrays state for one cohort of requests. All
@@ -78,11 +63,6 @@ type Batch struct {
 	// Key is the requested record key.
 	Key []uint64
 
-	// Idx and Start are the stepped kernel's walk state: the bucket the
-	// lane will read next and that bucket's start time (for a parked
-	// lane, Start is its doze wake-up). ResolveLanes leaves them unused.
-	Idx   []units.BucketIndex
-	Start []sim.Time
 	// State is the per-lane lifecycle tag.
 	State []LaneState
 	// Clients holds each lane's protocol state machine for the stepped
@@ -107,13 +87,10 @@ type Batch struct {
 	// bulk stats fold (stats.Sample.AddAll), sized with the batch.
 	AccessF, TuningF, EnergyF, ProbesF []float64
 
-	// FailLane/FailKind/FailArg1/FailArg2 describe the first failed lane
-	// when an advance kernel aborts: for FailPastDoze the requested wake
-	// time and the bucket end, for FailBadStep the step kind, for
-	// FailBudget the step budget.
-	FailLane           int
-	FailKind           FailKind
-	FailArg1, FailArg2 int64
+	// FailLane and Err describe the first failed lane when AdvanceClean
+	// aborts: its index and the walker's error.
+	FailLane int
+	Err      error
 }
 
 // New returns an empty batch arena.
@@ -132,8 +109,6 @@ func (b *Batch) Reset(n int) {
 	}
 	b.Arrival = b.Arrival[:n]
 	b.Key = b.Key[:n]
-	b.Idx = b.Idx[:n]
-	b.Start = b.Start[:n]
 	b.State = b.State[:n]
 	b.Clients = b.Clients[:n]
 	b.Access = b.Access[:n]
@@ -162,9 +137,7 @@ func (b *Batch) Reset(n int) {
 		b.SwitchWait[i] = 0
 	}
 	b.FailLane = -1
-	b.FailKind = FailNone
-	b.FailArg1 = 0
-	b.FailArg2 = 0
+	b.Err = nil
 }
 
 // grow reallocates every column to capacity n, copying the Clients
@@ -175,8 +148,6 @@ func (b *Batch) grow(n int) {
 	b.Clients = clients
 	b.Arrival = make([]sim.Time, n)
 	b.Key = make([]uint64, n)
-	b.Idx = make([]units.BucketIndex, n)
-	b.Start = make([]sim.Time, n)
 	b.State = make([]LaneState, n)
 	b.Access = make([]units.ByteCount, n)
 	b.Tuning = make([]units.ByteCount, n)
@@ -220,86 +191,31 @@ func (b *Batch) ResolveLanes(r access.Resolver) bool {
 }
 
 // AdvanceClean runs every pending lane's walk to completion against a
-// perfect single channel: the exact loop body of access.Walk, inlined
-// over the columns. maxSteps <= 0 selects access.DefaultMaxSteps. It
-// returns false if a lane failed, with the batch's Fail* fields set and
-// later lanes left pending — the caller materializes the error (lanes
-// are independent, so aborting at the first failure matches the event
-// engine, which stops its loop on the first walk error).
+// perfect single channel, one access.Walk per lane over the Clients
+// column. maxSteps <= 0 selects access.DefaultMaxSteps. It returns false
+// if a lane failed, with FailLane and Err set and later lanes left
+// pending (lanes are independent, so aborting at the first failure
+// matches the event engine, which stops its loop on the first walk
+// error).
 //
 //airlint:hotpath
 func (b *Batch) AdvanceClean(ch *channel.Channel, maxSteps int) bool {
-	if maxSteps <= 0 {
-		maxSteps = access.DefaultMaxSteps
-	}
-	n := ch.NumBuckets()
-	cyc := ch.CycleLen()
 	for i := 0; i < len(b.Arrival); i++ {
 		if b.State[i] != LanePending {
 			continue
 		}
-		c := b.Clients[i]
-		arrival := b.Arrival[i]
-		idx, start := ch.NextBucketAt(arrival)
-		var tuning units.ByteCount
-		probes := 0
-		done := false
-		for step := 0; step < maxSteps; step++ {
-			end := ch.EndGiven(idx, start)
-			tuning += ch.SizeOf(idx)
-			probes++
-			s := c.OnBucket(idx, end)
-			switch s.Kind {
-			case access.StepNext:
-				// Buckets are contiguous: the next starts where this ended.
-				idx = idx.Next(n)
-				start = end
-			case access.StepDoze:
-				if s.At < end {
-					b.fail(i, FailPastDoze, int64(s.At), int64(end))
-					b.Tuning[i] = tuning
-					b.Probes[i] = probes
-					return false
-				}
-				if s.Hint.InCycle(n) && units.CycleOffset(s.At, cyc) == ch.StartInCycle(s.Hint) {
-					idx, start = s.Hint, s.At
-				} else {
-					idx, start = ch.NextBucketAt(s.At)
-				}
-			case access.StepDone:
-				b.Access[i] = units.Elapsed(arrival, end)
-				b.Found[i] = s.Found
-				done = true
-			default:
-				b.fail(i, FailBadStep, int64(s.Kind), 0)
-				b.Tuning[i] = tuning
-				b.Probes[i] = probes
-				return false
-			}
-			if done {
-				break
-			}
-		}
-		if !done {
-			b.fail(i, FailBudget, int64(maxSteps), 0)
-			b.Tuning[i] = tuning
-			b.Probes[i] = probes
+		r, err := access.Walk(ch, b.Clients[i], b.Arrival[i], maxSteps)
+		b.Access[i] = r.Access
+		b.Tuning[i] = r.Tuning
+		b.Probes[i] = r.Probes
+		b.Found[i] = r.Found
+		if err != nil {
+			b.State[i] = LaneFailed
+			b.FailLane = i
+			b.Err = err
 			return false
 		}
-		b.Tuning[i] = tuning
-		b.Probes[i] = probes
-		b.Idx[i] = idx
-		b.Start[i] = start
 		b.State[i] = LaneDone
 	}
 	return true
-}
-
-// fail records the first failing lane.
-func (b *Batch) fail(lane int, kind FailKind, a1, a2 int64) {
-	b.State[lane] = LaneFailed
-	b.FailLane = lane
-	b.FailKind = kind
-	b.FailArg1 = a1
-	b.FailArg2 = a2
 }

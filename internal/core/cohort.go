@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"github.com/airindex/airindex/internal/access"
 	"github.com/airindex/airindex/internal/cohort"
 )
@@ -22,8 +20,7 @@ import (
 // in cohort_test.go pin that.
 //
 // Its throughput comes from batching (closed-form access.Resolver
-// kernels, inlined walk loops, client-arena reuse, bulk Welford/P²
-// folds). Streams run concurrently like the event engine's, sharing only
+// kernels, client-arena reuse, bulk Welford/P² folds). Streams run concurrently like the event engine's, sharing only
 // the immutable broadcast image; each stream owns its batch and clients.
 
 // cohortShard is the cohort engine's stream: the shared stream state plus
@@ -113,7 +110,7 @@ func (s *Simulator) primeCohortClients(b *cohort.Batch) {
 
 // cohortAdvance resolves every lane of the current batch. Clean
 // single-channel batches take the columnar kernels — the closed-form
-// resolver when the scheme offers one, the inlined walk loop otherwise.
+// resolver when the scheme offers one, one access.Walk per lane otherwise.
 // Fault-injected and multichannel batches share mutable per-stream state
 // (the corruption counter), so they walk lane by lane in arrival order
 // through the exact entry points the event engine uses.
@@ -125,50 +122,21 @@ func (s *Simulator) cohortAdvance(sh *cohortShard) error {
 		}
 		s.primeCohortClients(b)
 		if !b.AdvanceClean(s.bc.Channel(), 0) {
-			return cohortFailErr(b)
+			return b.Err
 		}
 		return nil
 	}
 	return s.cohortWalkLanes(sh)
 }
 
-// cohortFailErr materializes a failed lane's error with the same message
-// access.Walk would have returned, off the hot path.
-func cohortFailErr(b *cohort.Batch) error {
-	switch b.FailKind {
-	case cohort.FailPastDoze:
-		return fmt.Errorf("access: client dozed into the past: %d < %d", b.FailArg1, b.FailArg2)
-	case cohort.FailBadStep:
-		return fmt.Errorf("access: invalid step kind %d", b.FailArg1)
-	default:
-		return fmt.Errorf("access: query exceeded %d steps without terminating", b.FailArg1)
-	}
-}
-
-// cohortWalkLanes drives each lane to completion in arrival order with
-// the event engine's walkers, filling the result columns. Per-lane
-// injector sequencing (StartRequest before the walk) matches runRequest,
-// so the corruption stream lines up request for request.
+// cohortWalkLanes drives each lane to completion in arrival order through
+// the event engine's own walk (Simulator.walk), filling the result
+// columns, so the corruption stream lines up request for request.
 func (s *Simulator) cohortWalkLanes(sh *cohortShard) error {
 	b := sh.batch
-	pol := s.recoverPolicy()
 	for i := 0; i < b.Len(); i++ {
 		sh.curKey = b.Key[i]
-		arrival := b.Arrival[i]
-		var r access.MultiResult
-		var err error
-		switch {
-		case s.set != nil && sh.inj != nil:
-			sh.inj.StartRequest()
-			r, err = access.WalkRecoverMulti(s.set, sh.renew, arrival, sh.inj, pol, 0)
-		case s.set != nil:
-			r, err = access.WalkMulti(s.set, sh.renew(), arrival, 0)
-		default: // sh.inj != nil: single-channel fault recovery
-			sh.inj.StartRequest()
-			var fr access.FaultyResult
-			fr, err = access.WalkRecover(s.bc.Channel(), sh.renew, arrival, sh.inj, pol, 0)
-			r = access.MultiResult{FaultyResult: fr}
-		}
+		r, err := s.walk(&sh.stream, sh.renew, b.Arrival[i])
 		if err != nil {
 			return err
 		}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"github.com/airindex/airindex/internal/access"
@@ -125,25 +124,6 @@ func TestCohortDeterministic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("identical cohort configurations produced different Results")
-	}
-}
-
-// TestCohortRejectsLegacyBER: the legacy BitErrorRate layer draws from
-// the arrival RNG mid-walk, which the pre-drawn cohort streams cannot
-// replay; Validate must reject the combination with a pointer at Faults.
-func TestCohortRejectsLegacyBER(t *testing.T) {
-	cfg := smallConfig("flat", 100)
-	cfg.Engine = EngineCohort
-	cfg.BitErrorRate = 0.01
-	err := cfg.Validate()
-	if err == nil {
-		t.Fatal("cohort engine with BitErrorRate accepted")
-	}
-	if !strings.Contains(err.Error(), "Faults") {
-		t.Fatalf("rejection should point at the Faults layer: %v", err)
-	}
-	if _, err := RunOne(cfg); err == nil {
-		t.Fatal("RunOne accepted the invalid combination")
 	}
 }
 

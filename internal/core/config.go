@@ -68,10 +68,8 @@ type Config struct {
 	// EngineCohort ("cohort") is the batched columnar engine, which
 	// advances whole rounds of requests through struct-of-arrays kernels
 	// and closed-form resolvers while reproducing the reference engine's
-	// Result bit for bit (see DESIGN.md). The legacy BitErrorRate layer
-	// draws from the arrival RNG in the middle of a walk and is the one
-	// configuration the cohort engine cannot replay; Validate rejects
-	// that combination.
+	// Result bit for bit (see DESIGN.md) for every configuration
+	// Validate accepts.
 	Engine string
 
 	// Shards splits the accuracy-control rounds across this many
@@ -85,13 +83,6 @@ type Config struct {
 	// seeded with Seed itself, whose request stream matches pre-sharding
 	// runs.
 	Shards int
-
-	// BitErrorRate corrupts each bucket read independently with this
-	// probability (error-prone channel extension; 0 disables). It draws
-	// from the arrival RNG stream and predates the faults layer below;
-	// prefer Faults, which keeps the arrival process untouched. The two
-	// are mutually exclusive.
-	BitErrorRate float64
 
 	// Faults configures the deterministic unreliable-channel layer: the
 	// error model applied to every bucket read and the client's recovery
@@ -186,8 +177,6 @@ func (c Config) Validate() error {
 		// every engine, so this configuration silently makes Converged
 		// unreachable instead of doing what it says.
 		return fmt.Errorf("core: min requests %d exceeds max requests %d; the request cap would always fire before the stopping rule could hold", c.MinRequests, c.MaxRequests)
-	case !(0 <= c.BitErrorRate && c.BitErrorRate < 1):
-		return fmt.Errorf("core: bit error rate %v outside [0,1)", c.BitErrorRate)
 	case c.ZipfS != 0 && !(1 < c.ZipfS && c.ZipfS <= math.MaxFloat64):
 		return fmt.Errorf("core: zipf exponent %v must be finite and exceed 1 (or be 0 for uniform)", c.ZipfS)
 	case c.ZipfS > 1 && c.Data.NumRecords < 2:
@@ -202,9 +191,6 @@ func (c Config) Validate() error {
 	if err := c.Faults.Validate(); err != nil {
 		return err
 	}
-	if c.Faults.Enabled() && c.BitErrorRate > 0 {
-		return fmt.Errorf("core: Faults and the legacy BitErrorRate are mutually exclusive; pick one error layer")
-	}
 	if faultsCanCorrupt(c.Faults) && c.Faults.MaxRetries == 0 && c.Availability < 1 && serialScheme(c.Scheme) {
 		// The access.RecoverPolicy caveat, enforced: a serial scheme can
 		// only conclude a key is absent after a full clean pass of the
@@ -216,16 +202,10 @@ func (c Config) Validate() error {
 	if err := c.Multi.Validate(); err != nil {
 		return err
 	}
-	if c.Multi.Enabled() && c.BitErrorRate > 0 {
-		return fmt.Errorf("core: the legacy BitErrorRate layer predates multichannel and is single-channel only; use Faults with Multi")
-	}
 	switch c.Engine {
 	case "", EngineEvents, EngineCohort:
 	default:
 		return fmt.Errorf("core: unknown engine %q (have %q, %q)", c.Engine, EngineEvents, EngineCohort)
-	}
-	if c.Engine == EngineCohort && c.BitErrorRate > 0 {
-		return fmt.Errorf("core: the cohort engine cannot replay the legacy BitErrorRate layer (it draws from the arrival RNG mid-walk); use Faults instead")
 	}
 	return nil
 }

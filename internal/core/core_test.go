@@ -34,13 +34,12 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		func(c *Config) { c.Confidence = 1 },
 		func(c *Config) { c.Accuracy = 0 },
 		func(c *Config) { c.MaxRequests = 10 },
-		func(c *Config) { c.BitErrorRate = 1 },
 		func(c *Config) { c.Data.NumRecords = 0 },
 		func(c *Config) { c.Shards = -1 },
 		func(c *Config) { c.Shards = c.MaxRequests + 1 },
 		func(c *Config) { c.MinRequests = c.MaxRequests + 1 },
 		func(c *Config) { c.Engine = "columnar" },
-		func(c *Config) { c.Engine = EngineCohort; c.BitErrorRate = 0.1 },
+		func(c *Config) { c.Faults = faults.Config{Model: faults.ModelDrop, DropRate: 1.5} },
 		func(c *Config) { c.ZipfS = 1.5; c.Data.NumRecords = 1 },
 	}
 	// NaN fails every range check, and ±Inf is out of every range.
@@ -50,7 +49,6 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 			func(c *Config) { c.RequestMean = v },
 			func(c *Config) { c.Confidence = v },
 			func(c *Config) { c.Accuracy = v },
-			func(c *Config) { c.BitErrorRate = v },
 			func(c *Config) { c.ZipfS = v },
 			func(c *Config) { c.DozePowerRatio = v },
 			func(c *Config) { c.Faults = faults.Config{Model: faults.ModelDrop, DropRate: v} },
@@ -213,7 +211,7 @@ func TestBitErrorInjectionCausesRestartsAndSlowdown(t *testing.T) {
 	clean := smallConfig("distributed", 300)
 	clean.MinRequests = 1000
 	faulty := clean
-	faulty.BitErrorRate = 0.2
+	faulty.Faults = faults.FromRate(faults.ModelDrop, 0.2)
 	cr, err := RunOne(clean)
 	if err != nil {
 		t.Fatal(err)

@@ -15,7 +15,7 @@ import (
 // one-shard run — with Shards 0 or 1, which are equivalent — must
 // reproduce the Results of the original single-stream sequential
 // controller, which the golden file recorded for these variants, across
-// the uniform, legacy bit-error, Zipf, partial-availability and both
+// the uniform, Zipf, partial-availability and both
 // fault-model workloads.
 func TestOneShardMatchesSequential(t *testing.T) {
 	cases := map[string]struct {
@@ -23,7 +23,6 @@ func TestOneShardMatchesSequential(t *testing.T) {
 		mutate func(*Config)
 	}{
 		"uniform":      {"distributed", func(c *Config) {}},
-		"faulty":       {"distributed/legacy-ber", func(c *Config) { c.BitErrorRate = 0.1 }},
 		"zipf":         {"distributed/zipf", func(c *Config) { c.ZipfS = 1.3 }},
 		"partialavail": {"distributed/partialavail", func(c *Config) { c.Availability = 0.7 }},
 		"faults-drop":  {"distributed/faults-drop", func(c *Config) { c.Faults = faults.FromRate(faults.ModelDrop, 0.05) }},

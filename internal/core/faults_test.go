@@ -101,19 +101,3 @@ func TestBoundedRetriesProduceUnrecoveredMisses(t *testing.T) {
 		t.Fatal("corrupted reads reported no wasted tuning bytes")
 	}
 }
-
-// TestFaultsRejectedAlongsideLegacyBER: the two error layers are mutually
-// exclusive.
-func TestFaultsRejectedAlongsideLegacyBER(t *testing.T) {
-	cfg := smallConfig("flat", 100)
-	cfg.BitErrorRate = 0.01
-	cfg.Faults = faults.FromRate(faults.ModelDrop, 0.01)
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("Validate accepted Faults together with BitErrorRate")
-	}
-	cfg.BitErrorRate = 0
-	cfg.Faults.DropRate = 1.5
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("Validate accepted an out-of-range faults rate")
-	}
-}

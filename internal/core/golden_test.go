@@ -53,7 +53,6 @@ func goldenVariants() []goldenCase {
 			c.Faults.Recovery = faults.RecoverNextCycle
 			c.Faults.MaxRetries = 4
 		}},
-		{"legacy-ber", func(c *Config) { c.BitErrorRate = 0.1 }},
 		{"multi-k2", func(c *Config) { c.Multi = multichannel.Config{Channels: 2} }},
 		{"multi-k4-cost", func(c *Config) { c.Multi = multichannel.Config{Channels: 4, SwitchCost: 256} }},
 	}
@@ -73,16 +72,11 @@ func goldenVariants() []goldenCase {
 }
 
 // goldenCases expands every variant over shards {1, 4} and both engines.
-// The cohort engine rejects the legacy BitErrorRate layer, so those
-// cells pin the event engine only.
 func goldenCases() []goldenCase {
 	var cs []goldenCase
 	for _, v := range goldenVariants() {
 		for _, shards := range []int{1, 4} {
 			for _, engine := range []string{EngineEvents, EngineCohort} {
-				if engine == EngineCohort && v.cfg.BitErrorRate > 0 {
-					continue
-				}
 				cfg := v.cfg
 				cfg.Shards = shards
 				cfg.Engine = engine

@@ -242,12 +242,6 @@ func TestMultiValidation(t *testing.T) {
 	}
 
 	bad := smallConfig("flat", 100)
-	bad.Multi = multichannel.Config{Channels: 2}
-	bad.BitErrorRate = 0.01
-	if err := bad.Validate(); err == nil {
-		t.Fatal("Validate accepted multichannel together with the legacy BitErrorRate")
-	}
-	bad = smallConfig("flat", 100)
 	bad.Multi = multichannel.Config{Channels: -1}
 	if err := bad.Validate(); err == nil {
 		t.Fatal("Validate accepted a negative channel count")

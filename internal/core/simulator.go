@@ -167,44 +167,30 @@ func (s *Simulator) accuracyMet(res *Result) bool {
 		res.Tuning.Converged(s.cfg.Confidence, s.cfg.Accuracy)
 }
 
-// runRequest executes one request process for a stream. The stream's
-// faults injector (nil on a perfect channel) carries its dedicated
-// corruption substream; its arrival RNG is used only by the legacy
-// BitErrorRate path. With the multichannel subsystem active the
-// channel-hopping walkers take over; they consume no RNG, so the arrival
-// and fault streams are identical to the single-channel run's.
+// runRequest executes one request process for a stream with a fresh
+// client per protocol restart.
 func (s *Simulator) runRequest(st *stream, key uint64, arrival sim.Time) (access.MultiResult, error) {
-	inj := st.inj
+	return s.walk(st, func() access.Client { return s.bc.NewClient(key) }, arrival)
+}
+
+// walk runs one request's walk on the run's geometry — the K-channel set
+// when the multichannel subsystem is active, the scheme's channel
+// otherwise — through the stream's fault injector (nil on a perfect
+// channel), which is first advanced to the new request. The walkers
+// consume no arrival RNG, so the arrival and fault streams are the same
+// on every geometry. Both engines call it, so the corruption stream
+// lines up request for request.
+func (s *Simulator) walk(st *stream, newClient func() access.Client, arrival sim.Time) (access.MultiResult, error) {
+	var inj access.Corrupter
+	if st.inj != nil {
+		st.inj.StartRequest()
+		inj = st.inj
+	}
 	if s.set != nil {
-		if inj != nil {
-			inj.StartRequest()
-			return access.WalkRecoverMulti(
-				s.set,
-				func() access.Client { return s.bc.NewClient(key) },
-				arrival, inj, s.recoverPolicy(), 0,
-			)
-		}
-		return access.WalkMulti(s.set, s.bc.NewClient(key), arrival, 0)
+		return access.WalkRecoverMulti(s.set, newClient, arrival, inj, s.recoverPolicy(), 0)
 	}
-	if inj != nil {
-		inj.StartRequest()
-		r, err := access.WalkRecover(
-			s.bc.Channel(),
-			func() access.Client { return s.bc.NewClient(key) },
-			arrival, inj, s.recoverPolicy(), 0,
-		)
-		return access.MultiResult{FaultyResult: r}, err
-	}
-	if s.cfg.BitErrorRate > 0 {
-		r, err := access.WalkFaulty(
-			s.bc.Channel(),
-			func() access.Client { return s.bc.NewClient(key) },
-			arrival, s.cfg.BitErrorRate, st.rng.Float64, 0,
-		)
-		return access.MultiResult{FaultyResult: r}, err
-	}
-	r, err := access.Walk(s.bc.Channel(), s.bc.NewClient(key), arrival, 0)
-	return access.MultiResult{FaultyResult: access.FaultyResult{Result: r}}, err
+	r, err := access.WalkRecover(s.bc.Channel(), newClient, arrival, inj, s.recoverPolicy(), 0)
+	return access.MultiResult{FaultyResult: r}, err
 }
 
 // RunOne builds a simulator for cfg and runs it; a convenience for the

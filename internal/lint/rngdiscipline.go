@@ -145,7 +145,7 @@ func streamSeedDuplicates(pkgs []*Package) map[int][]Diagnostic {
 			out[s.pkgIdx] = append(out[s.pkgIdx], Diagnostic{
 				Pos:      s.pos,
 				Analyzer: RNGDisciplineAnalyzer.Name,
-				Message: fmt.Sprintf("StreamSeed label %q is already used at %s; duplicate labels yield identical substreams, silently correlating independent processes", s.label, prev),
+				Message:  fmt.Sprintf("StreamSeed label %q is already used at %s; duplicate labels yield identical substreams, silently correlating independent processes", s.label, prev),
 			})
 		} else {
 			first[s.label] = s.pos

@@ -10,8 +10,8 @@
 // touching the schemes themselves: the logical cycle a scheme builds stays
 // exactly as constructed, and an allocation policy decides which physical
 // channel broadcasts which bucket, at which phase. The access layer's
-// channel-hopping walkers (access.WalkMulti, access.WalkRecoverMulti)
-// consume the geometry through Set.
+// channel-hopping walk (access.WalkRecoverMulti) consumes the geometry
+// through Set.
 //
 // Three allocation policies are provided:
 //
