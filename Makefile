@@ -47,15 +47,15 @@ cover:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Benchmark-regression gate: fail if the cohort engine's throughput
-# advantage over the reference event engine regresses >15% against
-# ci/bench-baseline.json. The gate pins the engines' speed *ratio*, not
-# raw req/s, so it holds on slower CI machines.
+# Benchmark-regression gate: fail if Simulator.Run's throughput
+# advantage over a per-request access.Walk loop regresses >15% against
+# ci/bench-baseline.json. The gate pins the two sides' speed *ratio*,
+# not raw req/s, so it holds on slower CI machines.
 bench-gate:
 	$(GO) run ./cmd/airgate
 
 # Re-measure and rewrite the gate baseline (after a deliberate change
-# to either engine's performance profile).
+# to either side's performance profile).
 bench-baseline:
 	$(GO) run ./cmd/airgate -update
 

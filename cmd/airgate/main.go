@@ -1,15 +1,20 @@
-// Command airgate is the benchmark-regression gate for the columnar
-// cohort engine. It times a pinned flat-broadcast workload on both
-// request engines, computes the cohort/reference throughput ratio, and
-// fails when that ratio has regressed by more than the allowed fraction
-// against the checked-in baseline (ci/bench-baseline.json).
+// Command airgate is the benchmark-regression gate for the request
+// engine's batched kernels. It times a pinned flat-broadcast workload two
+// ways — core's Simulator.Run, and a reference loop that walks each
+// request with access.Walk and a fresh client over the same seeded keys
+// and arrivals, the per-request work of an unbatched engine — computes
+// the Run/reference throughput ratio, and fails when that ratio has
+// regressed by more than the allowed fraction against the checked-in
+// baseline (ci/bench-baseline.json).
 //
-// The gate compares the *ratio* between the two engines rather than raw
-// requests/sec, so it tolerates slower or faster CI machines: both
-// engines run on the same hardware in the same process, and only their
-// relative speed is pinned. The workload forces MinRequests ==
-// MaxRequests so every run executes exactly the same request count (the
-// stopping rule is only consulted once the cap is reached).
+// The gate compares the *ratio* rather than raw requests/sec, so it
+// tolerates slower or faster CI machines: both sides run on the same
+// hardware in the same process, and only their relative speed is
+// pinned. Flat's clean runs take the closed-form resolver, so a change
+// that knocks Run off it drops the ratio to about one. The Run side
+// forces MinRequests == MaxRequests so every trial executes exactly the
+// same request count (the stopping rule is only consulted once the cap
+// is reached).
 //
 // Usage:
 //
@@ -25,19 +30,21 @@ import (
 	"os"
 	"time"
 
+	"github.com/airindex/airindex/internal/access"
 	"github.com/airindex/airindex/internal/core"
+	"github.com/airindex/airindex/internal/sim"
 )
 
 // The pinned workload. Flat over 2,000 records keeps a trial under a
-// second while exercising the cohort engine's resolver fast path and the
-// reference engine's full event loop; the request counts are sized so
-// setup cost is amortised for each engine at its own speed.
+// second while exercising Run's resolver fast path and the reference
+// loop's full bucket-by-bucket walks; the request counts are sized so
+// setup cost is amortised for each side at its own speed.
 const (
 	gateScheme       = "flat"
 	gateRecords      = 2000
 	gateSeed         = 42
 	gateRefRequests  = 40000
-	gateCohRequests  = 400000
+	gateRunRequests  = 400000
 	defaultTrials    = 3
 	defaultBaseline  = "ci/bench-baseline.json"
 	defaultTolerance = 0.15 // fail on >15% ratio regression
@@ -48,10 +55,10 @@ type baseline struct {
 	Scheme            string  `json:"scheme"`
 	Records           int     `json:"records"`
 	ReferenceRequests int     `json:"reference_requests"`
-	CohortRequests    int     `json:"cohort_requests"`
+	RunRequests       int     `json:"run_requests"`
 	Trials            int     `json:"trials"`
 	ReferenceRPS      float64 `json:"reference_rps"`
-	CohortRPS         float64 `json:"cohort_rps"`
+	RunRPS            float64 `json:"run_rps"`
 	Ratio             float64 `json:"ratio"`
 }
 
@@ -66,8 +73,8 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("airgate", flag.ContinueOnError)
 	baselinePath := fs.String("baseline", defaultBaseline, "baseline JSON to gate against")
 	update := fs.Bool("update", false, "re-measure and rewrite the baseline instead of gating")
-	trials := fs.Int("trials", defaultTrials, "wall-clock trials per engine (best of N)")
-	tolerance := fs.Float64("tolerance", defaultTolerance, "allowed cohort/reference ratio regression fraction")
+	trials := fs.Int("trials", defaultTrials, "wall-clock trials per side (best of N)")
+	tolerance := fs.Float64("tolerance", defaultTolerance, "allowed Run/reference ratio regression fraction")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -78,19 +85,19 @@ func run(args []string) error {
 		return fmt.Errorf("tolerance must be in (0,1), got %g", *tolerance)
 	}
 
-	refRPS, err := measure(core.EngineEvents, gateRefRequests, *trials)
+	refRPS, err := bestOf(*trials, gateRefRequests, serveReference)
 	if err != nil {
 		return err
 	}
-	cohRPS, err := measure(core.EngineCohort, gateCohRequests, *trials)
+	runRPS, err := bestOf(*trials, gateRunRequests, serveRun)
 	if err != nil {
 		return err
 	}
-	ratio := cohRPS / refRPS
+	ratio := runRPS / refRPS
 	fmt.Printf("reference  %12.0f req/s  (%s, %d records, %d requests, best of %d)\n",
 		refRPS, gateScheme, gateRecords, gateRefRequests, *trials)
-	fmt.Printf("cohort     %12.0f req/s  (%s, %d records, %d requests, best of %d)\n",
-		cohRPS, gateScheme, gateRecords, gateCohRequests, *trials)
+	fmt.Printf("run        %12.0f req/s  (%s, %d records, %d requests, best of %d)\n",
+		runRPS, gateScheme, gateRecords, gateRunRequests, *trials)
 	fmt.Printf("ratio      %12.2fx\n", ratio)
 
 	if *update {
@@ -98,10 +105,10 @@ func run(args []string) error {
 			Scheme:            gateScheme,
 			Records:           gateRecords,
 			ReferenceRequests: gateRefRequests,
-			CohortRequests:    gateCohRequests,
+			RunRequests:       gateRunRequests,
 			Trials:            *trials,
 			ReferenceRPS:      refRPS,
-			CohortRPS:         cohRPS,
+			RunRPS:            runRPS,
 			Ratio:             ratio,
 		}
 		data, err := json.MarshalIndent(b, "", "  ")
@@ -129,46 +136,76 @@ func run(args []string) error {
 	floor := base.Ratio * (1 - *tolerance)
 	fmt.Printf("baseline   %12.2fx  (floor %.2fx at %g tolerance)\n", base.Ratio, floor, *tolerance)
 	if ratio < floor {
-		return fmt.Errorf("cohort/reference throughput ratio %.2fx regressed below %.2fx (baseline %.2fx - %g%%)",
+		return fmt.Errorf("Run/reference throughput ratio %.2fx regressed below %.2fx (baseline %.2fx - %g%%)",
 			ratio, floor, base.Ratio, *tolerance*100)
 	}
 	fmt.Println("gate       PASS")
 	return nil
 }
 
-// measure returns the best requests/sec over n trials of the pinned
-// workload on the given engine. Each trial builds a fresh simulator
-// outside the timed region, so datagen and cycle construction do not
-// dilute the engine's own throughput.
-func measure(engine string, requests, n int) (float64, error) {
+// gateConfig is the pinned workload at an exact request count:
+// MinRequests == MaxRequests, so the stopping rule cannot fire before
+// the cap.
+func gateConfig(requests int) core.Config {
 	cfg := core.DefaultConfig(gateScheme, gateRecords)
 	cfg.Seed = gateSeed
-	cfg.Engine = engine
 	cfg.RoundSize = 500
-	// MinRequests == MaxRequests forces the exact request count: the
-	// stopping rule cannot fire before the cap.
 	cfg.MinRequests = requests
 	cfg.MaxRequests = requests
+	return cfg
+}
+
+// bestOf returns the best requests/sec over n trials of one side. Each
+// trial builds a fresh simulator outside the timed region, so datagen
+// and cycle construction do not dilute the measured throughput.
+func bestOf(n, requests int, serve func(*core.Simulator, int) error) (float64, error) {
 	best := 0.0
 	for i := 0; i < n; i++ {
-		s, err := core.New(cfg)
+		s, err := core.New(gateConfig(requests))
 		if err != nil {
 			return 0, err
 		}
 		//airlint:allow determinism wall-clock timing of the CLI itself, not of simulated runs
 		start := time.Now()
-		res, err := s.Run()
-		if err != nil {
+		if err := serve(s, requests); err != nil {
 			return 0, err
 		}
 		//airlint:allow determinism wall-clock timing of the CLI itself, not of simulated runs
-		elapsed := time.Since(start)
-		if res.Requests != int64(requests) {
-			return 0, fmt.Errorf("%s engine ran %d requests, want exactly %d", engine, res.Requests, requests)
-		}
-		if rps := float64(requests) / elapsed.Seconds(); rps > best {
+		if rps := float64(requests) / time.Since(start).Seconds(); rps > best {
 			best = rps
 		}
 	}
 	return best, nil
+}
+
+// serveRun serves the requests through Simulator.Run.
+func serveRun(s *core.Simulator, requests int) error {
+	res, err := s.Run()
+	if err == nil && res.Requests != int64(requests) {
+		err = fmt.Errorf("Run served %d requests, want exactly %d", res.Requests, requests)
+	}
+	return err
+}
+
+// serveReference is the reference loop: Run's one-stream request draws
+// (the pending arrival, then per request the key and the gap to the
+// next arrival; every key is present) with each request walked by
+// access.Walk on a fresh client.
+func serveReference(s *core.Simulator, requests int) error {
+	bc, ds := s.Broadcast(), s.Dataset()
+	cfg := gateConfig(requests)
+	rng := sim.NewRNG(cfg.Seed)
+	next := rng.Exponential(cfg.RequestMean)
+	for i := 0; i < requests; i++ {
+		key := ds.KeyAt(rng.Intn(ds.Len()))
+		r, err := access.Walk(bc.Channel(), bc.NewClient(key), next, 0)
+		if err != nil {
+			return err
+		}
+		if !r.Found {
+			return fmt.Errorf("reference loop missed present key %d", key)
+		}
+		next += rng.Exponential(cfg.RequestMean)
+	}
+	return nil
 }

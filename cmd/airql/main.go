@@ -48,7 +48,6 @@ func run(args []string, out io.Writer) error {
 	fast := fs.Bool("fast", false, "reduced workloads and relaxed stopping rule (selects the scripts' fast(...) variants)")
 	seed := fs.Int64("seed", 0, "seed override; wins over a script's RUN seed (0 = default)")
 	shards := fs.Int("shards", 0, "shards per simulation run; results depend on (seed, shards) only (0 = the script's RUN shards, else one request stream)")
-	engine := fs.String("engine", "", "request engine for every point: events (default) or cohort; results are bit-identical")
 	outDir := fs.String("out", ".", "root directory EMIT csv(...) paths are resolved against")
 	quiet := fs.Bool("quiet", false, "suppress per-point progress lines")
 	printForm := fs.String("print", "", "also print every table to stdout as text, md (markdown) or plot (ASCII chart)")
@@ -82,7 +81,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	opt := airql.Options{Fast: *fast, Seed: *seed, Shards: *shards, Engine: *engine, Settings: settings}
+	opt := airql.Options{Fast: *fast, Seed: *seed, Shards: *shards, Settings: settings}
 	if !*quiet {
 		opt.Progress = func(format string, a ...any) {
 			fmt.Fprintf(os.Stderr, "  "+format+"\n", a...)

@@ -46,8 +46,7 @@ func run(args []string, out io.Writer) error {
 	keySize := fs.Int("key-size", 25, "encoded key bytes")
 	availability := fs.Float64("availability", 1, "probability a request's key is broadcast [0,1]")
 	seed := fs.Int64("seed", 42, "random seed")
-	shards := fs.Int("shards", 1, "event-loop shards; the result depends on (seed, shards) only")
-	engine := fs.String("engine", "", "request engine: "+strings.Join(core.EngineNames(), ", ")+" (default events); cohort batches requests through the columnar kernels, bit-identical results")
+	shards := fs.Int("shards", 1, "request-stream shards; the result depends on (seed, shards) only")
 	accuracy := fs.Float64("accuracy", 0.01, "confidence accuracy H/Y stopping threshold")
 	confidence := fs.Float64("confidence", 0.99, "confidence level")
 	minReq := fs.Int("min-requests", 5000, "minimum requests before stopping")
@@ -72,7 +71,6 @@ func run(args []string, out io.Writer) error {
 	cfg.Availability = *availability
 	cfg.Seed = *seed
 	cfg.Shards = *shards
-	cfg.Engine = *engine
 	cfg.Accuracy = *accuracy
 	cfg.Confidence = *confidence
 	cfg.MinRequests = *minReq

@@ -5,9 +5,9 @@ import (
 )
 
 // This file defines the optional capabilities a Broadcast or Client may
-// implement to let the columnar cohort engine (internal/cohort) advance
-// huge request populations cheaply. Both are pure optimizations: the
-// cohort engine probes for them with type assertions and falls back to
+// implement to let the request engine's batch kernels (internal/cohort)
+// advance huge request populations cheaply. Both are pure optimizations:
+// the engine probes for them with type assertions and falls back to
 // the ordinary NewClient/Walk machinery, and every capability carries a
 // bit-identity obligation that the differential tests enforce.
 
@@ -17,11 +17,12 @@ import (
 // — same Access, Tuning, Found and Probes — or report ok=false to make
 // the caller fall back to stepping the client state machine.
 //
-// Serial-scan schemes (flat, broadcast disks) implement it with
-// occurrence arithmetic over their uniform-bucket cycles: a scan that
-// the event engine resolves in O(probes) interface calls collapses to
-// O(1) (flat) or O(log occurrences) (bdisk) integer math, which is what
-// lets a 10⁶-request cohort run finish in seconds. The capability is
+// Serial-scan schemes implement it with occurrence arithmetic over their
+// uniform-bucket cycles: a scan that Walk steps through in O(probes)
+// interface calls collapses to O(1) (flat) or O(log occurrences) (bdisk)
+// integer math, or to one pass over packed signature words (simple
+// signature), which is what lets a 10⁶-request run finish in seconds.
+// The capability is
 // only consulted on perfect single-channel runs; faults and
 // multichannel allocations always walk.
 type Resolver interface {
@@ -32,7 +33,7 @@ type Resolver interface {
 // machine to its initial state for a new key, so a long-lived engine
 // can reuse one client allocation across millions of requests. After
 // c.Rewind(key), c must behave exactly like a fresh NewClient(key) —
-// the cohort engine's arena reuse and the recovery walkers' restart
+// the engine's client-arena reuse and the recovery walkers' restart
 // path both rely on that equivalence.
 type Rewinder interface {
 	Rewind(key uint64)

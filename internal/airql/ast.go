@@ -9,7 +9,7 @@ const (
 	StageSweep StageKind = iota
 	// StageSet assigns a knob per point (SET knob=expr ...).
 	StageSet
-	// StageRun configures the session (RUN seed=.. shards=.. engine=.. mode=..).
+	// StageRun configures the session (RUN seed=.. shards=.. mode=..).
 	StageRun
 	// StageTable opens a table declaration (TABLE id title(..) x(..) ...).
 	StageTable

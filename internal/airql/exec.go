@@ -53,10 +53,6 @@ func Execute(prog *Program, opt Options) ([]*Table, error) {
 			if opt.Shards == 0 {
 				opt.Shards = int(r.Val.Num)
 			}
-		case "engine":
-			if opt.Engine == "" {
-				opt.Engine = r.Val.Str
-			}
 		case "mode":
 			mode = r.Val.Str
 		}

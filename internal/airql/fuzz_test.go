@@ -21,7 +21,7 @@ func FuzzCompile(f *testing.F) {
 		}
 		f.Add(src)
 	}
-	f.Add(`SWEEP scheme=flat,bdisk,dist k=1,2,4,8 faultrate=0..0.10:0.02 | RUN seed=42 shards=4 engine=cohort | EMIT csv(results/multich-at.csv) summary(stdout)`)
+	f.Add(`SWEEP scheme=flat,bdisk,dist k=1,2,4,8 faultrate=0..0.10:0.02 | RUN seed=42 shards=4 mode=sim | EMIT csv(results/multich-at.csv) summary(stdout)`)
 	f.Add("SWEEP k=1..8:1 fast(1,2,4,8)\nSET records=10000 fast(2500)")
 	f.Add(`TABLE "a-b" title("t") x(k) | COL "c" mean(access){scheme=flat} / requests`)
 	f.Add("NOTE \"workload: {records} records; {count(k)} points\"")

@@ -3,7 +3,7 @@ package airql
 import "github.com/airindex/airindex/internal/core"
 
 // Options tunes how compiled scenarios run: the session-wide profile,
-// seed, shards, engine and knob settings every scenario inherits, part
+// seed, shards and knob settings every scenario inherits, part
 // of the deterministic (Seed, Shards) contract.
 type Options struct {
 	// Fast shrinks workloads and relaxes the stopping rule for test and
@@ -19,12 +19,6 @@ type Options struct {
 	// substreams (0 keeps the single-shard default). Results depend on
 	// (Seed, Shards) but not on scheduling; see DESIGN.md §7.
 	Shards int
-	// Engine forwards core.Config.Engine to every point: "" or "events"
-	// keeps the reference event-driven engine, "cohort" batches each
-	// point's requests through the columnar engine. The tables are
-	// bit-identical either way (the cohort engine's differential
-	// guarantee); only the wall-clock changes.
-	Engine string
 	// Settings are session-wide knob assignments (the CLIs' -set flags,
 	// parsed by ParseSettings), applied to every point before the
 	// script's own knobs. A script's fault.* knobs replace the session
@@ -63,7 +57,6 @@ func (o Options) BaseConfig(scheme string, records int) core.Config {
 	if o.Shards > 0 {
 		cfg.Shards = o.Shards
 	}
-	cfg.Engine = o.Engine
 	ApplySettings(&cfg, o.Settings)
 	return cfg
 }

@@ -380,7 +380,7 @@ func (p *parser) parseRun(prog *Program) *Error {
 		declared = true
 	}
 	if !declared {
-		return p.errorf(p.cur.Pos, "RUN needs at least one option (seed=..., shards=..., engine=..., mode=...)")
+		return p.errorf(p.cur.Pos, "RUN needs at least one option (seed=..., shards=..., mode=...)")
 	}
 	return nil
 }

@@ -9,10 +9,10 @@ import (
 // TestPipeAndNewlineEquivalent: the one-line pipeline form and the
 // stage-per-line form parse to the same program shape.
 func TestPipeAndNewlineEquivalent(t *testing.T) {
-	oneLine := `SWEEP scheme=flat,dist | RUN seed=42 shards=4 engine=cohort | EMIT csv(results/x.csv) summary(stdout)`
+	oneLine := `SWEEP scheme=flat,dist | RUN seed=42 shards=4 mode=sim | EMIT csv(results/x.csv) summary(stdout)`
 	multiLine := `
 SWEEP scheme=flat,dist
-RUN seed=42 shards=4 engine=cohort
+RUN seed=42 shards=4 mode=sim
 EMIT csv(results/x.csv) summary(stdout)
 `
 	a, err := Parse("a.airql", oneLine)
@@ -27,7 +27,7 @@ EMIT csv(results/x.csv) summary(stdout)
 		if len(prog.Axes) != 1 || prog.Axes[0].Name != "scheme" || len(prog.Axes[0].Values) != 2 {
 			t.Fatalf("axes parsed wrong: %+v", prog.Axes)
 		}
-		if len(prog.Runs) != 3 || prog.Runs[0].Key != "seed" || prog.Runs[1].Key != "shards" || prog.Runs[2].Key != "engine" {
+		if len(prog.Runs) != 3 || prog.Runs[0].Key != "seed" || prog.Runs[1].Key != "shards" || prog.Runs[2].Key != "mode" {
 			t.Fatalf("runs parsed wrong: %+v", prog.Runs)
 		}
 		if len(prog.LooseSinks) != 2 || prog.LooseSinks[0].Name != "csv" || prog.LooseSinks[1].Name != "summary" {

@@ -124,10 +124,6 @@ func (v *validator) checkRuns() {
 			if r.Val.IsStr || r.Val.Num != math.Trunc(r.Val.Num) || r.Val.Num < 0 {
 				v.errorf(r.Val.Pos, "RUN shards takes a non-negative integer")
 			}
-		case "engine":
-			if !r.Val.IsStr || (r.Val.Str != "events" && r.Val.Str != "cohort") {
-				v.errorf(r.Val.Pos, "RUN engine must be events or cohort, not %s", r.Val)
-			}
 		case "mode":
 			if !r.Val.IsStr || (r.Val.Str != ModeSim && r.Val.Str != ModeAttrQuery) {
 				v.errorf(r.Val.Pos, "RUN mode must be %s or %s, not %s", ModeSim, ModeAttrQuery, r.Val)
@@ -135,7 +131,7 @@ func (v *validator) checkRuns() {
 				v.mode = r.Val.Str
 			}
 		default:
-			v.errorf(r.Pos, "unknown RUN option %q (want seed, shards, engine or mode)", r.Key)
+			v.errorf(r.Pos, "unknown RUN option %q (want seed, shards or mode)", r.Key)
 		}
 	}
 }

@@ -107,6 +107,16 @@ EMIT csv(results/t.csv)
 `, []string{
 			`t.airql:5:9: metric mean is a simulator metric; attrquery columns use attr(...)`,
 		}},
+		{"engine is not a RUN option", `
+SET scheme=flat
+SWEEP records=1000,2000
+RUN engine=cohort
+TABLE t x(records)
+COL "a" mean(access)
+EMIT csv(results/t.csv)
+`, []string{
+			`t.airql:4:5: unknown RUN option "engine" (want seed, shards or mode)`,
+		}},
 		{"duplicate axis", `
 SET scheme=flat
 SWEEP records=1000,2000

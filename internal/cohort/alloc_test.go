@@ -7,6 +7,7 @@ import (
 	"github.com/airindex/airindex/internal/access"
 	"github.com/airindex/airindex/internal/datagen"
 	"github.com/airindex/airindex/internal/schemes/flat"
+	"github.com/airindex/airindex/internal/schemes/signature"
 	"github.com/airindex/airindex/internal/sim"
 )
 
@@ -55,20 +56,27 @@ func prime(b *Batch, bc access.Broadcast) {
 // TestKernelsAllocFree is the runtime backstop behind escapecheck for
 // the batch kernels: after the arena and client column warm up, a full
 // generate→advance round performs zero heap allocations per request for
-// both the resolver and the stepped kernel.
+// both the resolver (flat's and simple signature's) and the stepped
+// kernel.
 func TestKernelsAllocFree(t *testing.T) {
 	bc, ds := buildFlat(t, 64)
 	const lanes = 32
 
-	resolved := New()
-	fill(resolved, ds, lanes) // warm the arena
-	if avg := testing.AllocsPerRun(50, func() {
-		fill(resolved, ds, lanes)
-		if !resolved.ResolveLanes(bc) {
-			t.Fatal("flat resolver declined")
+	sig, err := signature.Build(ds, signature.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []access.Resolver{bc, sig} {
+		resolved := New()
+		fill(resolved, ds, lanes) // warm the arena
+		if avg := testing.AllocsPerRun(50, func() {
+			fill(resolved, ds, lanes)
+			if !resolved.ResolveLanes(r) {
+				t.Fatalf("%T resolver declined", r)
+			}
+		}); avg != 0 {
+			t.Errorf("ResolveLanes round on %T allocates %v times, want 0", r, avg)
 		}
-	}); avg != 0 {
-		t.Errorf("ResolveLanes round allocates %v times, want 0", avg)
 	}
 
 	stepped := New()

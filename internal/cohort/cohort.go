@@ -3,17 +3,18 @@
 // lane i of every column, and batched kernels advance a whole cohort of
 // requests against the immutable broadcast cycle in one call.
 //
-// The event-driven engine (internal/core) resolves each request at its
-// arrival event through the access.Walk family, paying per-request
-// interface plumbing, a Result struct, and error-path bookkeeping. At
-// paper scale (10⁶ clients) that plumbing dominates. The cohort engine
-// instead pre-draws a round's worth of (arrival, key) pairs into the
-// Arrival/Key columns — in exactly the RNG order the event engine would
-// have used — and then advances every lane with one of two kernels:
+// Resolving each request separately through the access.Walk family pays
+// per-request interface plumbing, a Result struct, and error-path
+// bookkeeping; at paper scale (10⁶ clients) that plumbing dominates. The
+// request engine (internal/core) instead pre-draws a round's worth of
+// (arrival, key) pairs into the Arrival/Key columns — in the RNG order a
+// one-request-at-a-time loop would use — and then advances every lane
+// with one of two kernels:
 //
 //   - ResolveLanes, when the broadcast implements access.Resolver:
-//     the whole walk collapses to closed-form occurrence arithmetic
-//     per lane (serial-scan schemes answer in O(1)–O(log) integer math);
+//     the whole walk collapses to closed-form arithmetic per lane
+//     (serial-scan schemes answer in O(1)–O(log) integer math, simple
+//     signature in one pass over its packed signature words);
 //   - AdvanceClean, the stepped kernel: access.Walk once per lane,
 //     driving the per-lane protocol state machines (the Clients column)
 //     with no closures or allocations on the hot path.
@@ -21,8 +22,8 @@
 // Lanes of a clean single-channel batch share no mutable state — the
 // channel is immutable and each client is private to its lane — so the
 // kernels may process lanes in any order; they use lane-major order
-// (each lane to completion) because it is cache-optimal and equals the
-// event engine's arrival order anyway. Paths with shared per-stream
+// (each lane to completion) because it is cache-optimal and equals
+// arrival order anyway. Paths with shared per-stream
 // state (fault injection's corruption counter, multichannel recovery)
 // are driven lane-by-lane in arrival order by internal/core using the
 // ordinary walkers, filling the same result columns.
@@ -194,9 +195,8 @@ func (b *Batch) ResolveLanes(r access.Resolver) bool {
 // perfect single channel, one access.Walk per lane over the Clients
 // column. maxSteps <= 0 selects access.DefaultMaxSteps. It returns false
 // if a lane failed, with FailLane and Err set and later lanes left
-// pending (lanes are independent, so aborting at the first failure
-// matches the event engine, which stops its loop on the first walk
-// error).
+// pending (lanes are independent, and the run stops on the first walk
+// error anyway).
 //
 //airlint:hotpath
 func (b *Batch) AdvanceClean(ch *channel.Channel, maxSteps int) bool {

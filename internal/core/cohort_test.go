@@ -10,39 +10,115 @@ import (
 	"github.com/airindex/airindex/internal/sim"
 )
 
-// runEngines runs the same configuration on the event-driven reference
-// engine and on the columnar cohort engine.
-func runEngines(t *testing.T, cfg Config) (events, cohort *Result) {
-	t.Helper()
-	ref := cfg
-	ref.Engine = EngineEvents
-	events, err := RunOne(ref)
-	if err != nil {
-		t.Fatal(err)
+// addResult folds one completed request into the accumulator, the
+// reference for foldCohort's bulk fold: Welford and P² updates are
+// order-sensitive, so the field order here is part of the determinism
+// contract.
+func (a *shardAccum) addResult(r *access.MultiResult, dozeRatio float64) {
+	a.requests++
+	if r.Found {
+		a.found++
+	} else {
+		a.notFound++
 	}
-	coh := cfg
-	coh.Engine = EngineCohort
-	cohort, err = RunOne(coh)
-	if err != nil {
-		t.Fatal(err)
+	a.access.Add(float64(r.Access))
+	a.tuning.Add(float64(r.Tuning))
+	a.energy.Add(float64(r.Tuning) + dozeRatio*float64(r.Access-r.Tuning))
+	a.probes.Add(float64(r.Probes))
+	a.restarts += int64(r.Restarts)
+	a.wasted += int64(r.Wasted)
+	if r.Unrecovered {
+		a.unrecovered++
 	}
-	return events, cohort
+	a.switches += int64(r.Switches)
+	a.switchWait += int64(r.SwitchWait)
+	a.accessP95.Add(float64(r.Access))
+	a.accessP99.Add(float64(r.Access))
+	a.tuningP95.Add(float64(r.Tuning))
+	a.tuningP99.Add(float64(r.Tuning))
 }
 
-// TestCohortMatchesEventEngineAllSchemes is the cohort engine's
-// differential anchor: for every registered scheme the columnar engine
-// must reproduce the event engine's Result byte for byte — same request
-// stream, same Welford moments, same P² tail states, same event count.
-// This exercises the closed-form resolver kernel (flat, broadcast
-// disks), the stepped columnar kernel with client-arena rewind
-// (distributed, (1,m), hashing) and the allocate-fresh fallback
-// (signature, hybrid).
+// referenceRun is the differential oracle for Run: the per-request loop
+// the batched rounds replace. Streams take turns in waves, one arrival
+// at a time in the RNG order key, walk, gap; each request walks a fresh
+// client through Simulator.walk — no resolver, no arena, no rewind — and
+// is folded by addResult. Only the merge and the stopping rule are Run's.
+func referenceRun(t *testing.T, cfg Config) *Result {
+	t.Helper()
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := max(cfg.Shards, 1)
+	streams := make([]*stream, n)
+	accs := make([]*shardAccum, n)
+	for i := range streams {
+		streams[i] = s.newStream(i, n)
+		accs[i] = &streams[i].shardAccum
+	}
+	for {
+		waveComplete := true
+		for _, st := range streams {
+			if st.done {
+				continue
+			}
+			served := 0
+			for ; served < cfg.RoundSize && st.requests < st.budget; served++ {
+				key := s.pickKey(st)
+				r, err := s.walk(st, func() access.Client { return s.bc.NewClient(key) }, st.next)
+				if err != nil {
+					t.Fatal(err)
+				}
+				st.addResult(&r, cfg.DozePowerRatio)
+				st.next += st.rng.Exponential(cfg.RequestMean)
+			}
+			if served == cfg.RoundSize {
+				st.rounds++
+			} else {
+				waveComplete = false
+			}
+			st.done = st.requests >= st.budget
+		}
+		merged := s.mergeShards(accs)
+		capped := merged.Requests >= int64(cfg.MaxRequests)
+		if !waveComplete && !capped {
+			continue
+		}
+		merged.Converged = s.accuracyMet(merged) && merged.Requests >= int64(cfg.MinRequests)
+		if merged.Converged || capped {
+			return merged
+		}
+	}
+}
+
+// runBoth runs cfg through Run and through the reference loop.
+func runBoth(t *testing.T, cfg Config) (ref, got *Result) {
+	t.Helper()
+	got, err := RunOne(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return referenceRun(t, cfg), got
+}
+
+// TestCohortMatchesEventEngineAllSchemes is the engine's differential
+// anchor: for every registered scheme, at one and four shards, Run must
+// reproduce the one-request-at-a-time reference loop's Result byte for
+// byte — same request stream, same Welford moments, same P² tail states,
+// same event count. This exercises the closed-form resolver kernel
+// (flat, broadcast disks, signature), the stepped columnar kernel with
+// client-arena rewind (distributed, (1,m), hashing) and the
+// allocate-fresh fallback (hybrid, the signature extensions).
 func TestCohortMatchesEventEngineAllSchemes(t *testing.T) {
 	for _, scheme := range SchemeNames() {
 		t.Run(scheme, func(t *testing.T) {
-			events, cohort := runEngines(t, smallConfig(scheme, 300))
-			if !reflect.DeepEqual(events, cohort) {
-				t.Fatalf("cohort engine diverged from event engine:\nevents: %+v\ncohort: %+v", events, cohort)
+			for _, shards := range []int{1, 4} {
+				cfg := smallConfig(scheme, 300)
+				cfg.Shards = shards
+				ref, got := runBoth(t, cfg)
+				if !reflect.DeepEqual(ref, got) {
+					t.Fatalf("shards=%d: Run diverged from the reference loop:\nreference: %+v\nrun:       %+v", shards, ref, got)
+				}
 			}
 		})
 	}
@@ -51,7 +127,7 @@ func TestCohortMatchesEventEngineAllSchemes(t *testing.T) {
 // TestCohortMatchesEventEngineVariants sweeps the workload and channel
 // configurations — skew, partial availability, both fault models,
 // multichannel K ∈ {2,4}, faults-over-multichannel — across one and four
-// shards. Every cell must be bit-identical between the engines,
+// shards. Every cell must be bit-identical to the reference loop,
 // including the fault counters and Switches/SwitchWaitBytes.
 func TestCohortMatchesEventEngineVariants(t *testing.T) {
 	cases := map[string]func(*Config){
@@ -77,9 +153,9 @@ func TestCohortMatchesEventEngineVariants(t *testing.T) {
 				cfg := smallConfig("distributed", 300)
 				cfg.Shards = shards
 				mutate(&cfg)
-				events, cohort := runEngines(t, cfg)
-				if !reflect.DeepEqual(events, cohort) {
-					t.Fatalf("shards=%d: cohort engine diverged from event engine:\nevents: %+v\ncohort: %+v", shards, events, cohort)
+				ref, got := runBoth(t, cfg)
+				if !reflect.DeepEqual(ref, got) {
+					t.Fatalf("shards=%d: Run diverged from the reference loop:\nreference: %+v\nrun:       %+v", shards, ref, got)
 				}
 			})
 		}
@@ -89,9 +165,9 @@ func TestCohortMatchesEventEngineVariants(t *testing.T) {
 // TestCohortResolverSchemesUnderVariants pins the serial-scan schemes —
 // whose clean path takes the closed-form resolver — under skew and
 // partial availability, where the key mix (present, missing) stresses
-// the resolvers' absence arithmetic.
+// the resolvers' absence arithmetic against the reference loop's walks.
 func TestCohortResolverSchemesUnderVariants(t *testing.T) {
-	for _, scheme := range []string{"flat", "broadcast-disks"} {
+	for _, scheme := range []string{"flat", "broadcast-disks", "signature"} {
 		for name, mutate := range map[string]func(*Config){
 			"zipf":         func(c *Config) { c.ZipfS = 1.5 },
 			"partialavail": func(c *Config) { c.Availability = 0.6 },
@@ -99,20 +175,40 @@ func TestCohortResolverSchemesUnderVariants(t *testing.T) {
 			t.Run(scheme+"/"+name, func(t *testing.T) {
 				cfg := smallConfig(scheme, 300)
 				mutate(&cfg)
-				events, cohort := runEngines(t, cfg)
-				if !reflect.DeepEqual(events, cohort) {
-					t.Fatalf("cohort engine diverged from event engine:\nevents: %+v\ncohort: %+v", events, cohort)
+				ref, got := runBoth(t, cfg)
+				if !reflect.DeepEqual(ref, got) {
+					t.Fatalf("Run diverged from the reference loop:\nreference: %+v\nrun:       %+v", ref, got)
 				}
 			})
 		}
 	}
 }
 
-// TestCohortDeterministic: the cohort engine's Result is a pure function
-// of (Seed, Shards, config), like the engines it mirrors.
+// TestEngineValueIgnored: Config.Engine no longer selects anything, so
+// every value — the two old names, empty, or anything else — passes
+// Validate and yields the same Result.
+func TestEngineValueIgnored(t *testing.T) {
+	cfg := smallConfig("hashing", 300)
+	want, err := RunOne(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, engine := range []string{EngineEvents, EngineCohort, "columnar"} {
+		cfg.Engine = engine
+		got, err := RunOne(cfg)
+		if err != nil {
+			t.Fatalf("engine %q: %v", engine, err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("engine %q changed the Result", engine)
+		}
+	}
+}
+
+// TestCohortDeterministic: a sharded Result is a pure function of
+// (Seed, Shards, config).
 func TestCohortDeterministic(t *testing.T) {
 	cfg := smallConfig("hashing", 300)
-	cfg.Engine = EngineCohort
 	cfg.Shards = 3
 	a, err := RunOne(cfg)
 	if err != nil {
@@ -124,21 +220,6 @@ func TestCohortDeterministic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("identical cohort configurations produced different Results")
-	}
-}
-
-// TestCohortUnknownEngineRejected covers the Engine name validation.
-func TestCohortUnknownEngineRejected(t *testing.T) {
-	cfg := smallConfig("flat", 100)
-	cfg.Engine = "columnar"
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("unknown engine name accepted")
-	}
-	for _, ok := range []string{"", EngineEvents, EngineCohort} {
-		cfg.Engine = ok
-		if err := cfg.Validate(); err != nil {
-			t.Fatalf("engine %q rejected: %v", ok, err)
-		}
 	}
 }
 
@@ -159,7 +240,7 @@ func TestRewindEquivalentToFreshClient(t *testing.T) {
 			probe := bc.NewClient(s.Dataset().KeyAt(0))
 			rw, ok := probe.(access.Rewinder)
 			if !ok {
-				t.Skipf("%s clients are not rewindable; cohort engine allocates fresh", scheme)
+				t.Skipf("%s clients are not rewindable; the engine allocates fresh", scheme)
 			}
 			for i := 0; i < 40; i++ {
 				key := s.Dataset().KeyAt((i * 7) % s.Dataset().Len())
@@ -193,7 +274,7 @@ func TestRewindEquivalentToFreshClient(t *testing.T) {
 // closed-form answers must equal the stepped walk for present and absent
 // keys across arrival phases spanning several cycles.
 func TestResolverMatchesWalk(t *testing.T) {
-	for _, scheme := range []string{"flat", "broadcast-disks"} {
+	for _, scheme := range []string{"flat", "broadcast-disks", "signature"} {
 		t.Run(scheme, func(t *testing.T) {
 			s, err := New(smallConfig(scheme, 230))
 			if err != nil {

@@ -54,8 +54,8 @@ type Config struct {
 	// Accuracy is the target confidence accuracy H/Y (0.01).
 	Accuracy float64
 	// MinRequests keeps the run going even after convergence. It must
-	// not exceed MaxRequests: the cap fires first in every engine, so a
-	// larger MinRequests would silently make Converged unreachable.
+	// not exceed MaxRequests: the cap fires first, so a larger
+	// MinRequests would silently make Converged unreachable.
 	MinRequests int
 	// MaxRequests bounds the run if convergence is slow.
 	MaxRequests int
@@ -63,13 +63,10 @@ type Config struct {
 	// Seed makes the run reproducible.
 	Seed int64
 
-	// Engine selects how each request stream serves its rounds.
-	// EngineEvents ("" or "events") is the reference event-driven engine;
-	// EngineCohort ("cohort") is the batched columnar engine, which
-	// advances whole rounds of requests through struct-of-arrays kernels
-	// and closed-form resolvers while reproducing the reference engine's
-	// Result bit for bit (see DESIGN.md) for every configuration
-	// Validate accepts.
+	// Engine is ignored: every value runs the one request engine, which
+	// serves each round as a batch (see DESIGN.md §9). The field and the
+	// EngineEvents/EngineCohort names stay so that callers which set them
+	// keep compiling.
 	Engine string
 
 	// Shards splits the accuracy-control rounds across this many
@@ -173,9 +170,9 @@ func (c Config) Validate() error {
 	case c.MaxRequests < c.RoundSize:
 		return fmt.Errorf("core: max requests %d below one round of %d", c.MaxRequests, c.RoundSize)
 	case c.MinRequests > c.MaxRequests:
-		// The MaxRequests cap fires before MinRequests can be reached in
-		// every engine, so this configuration silently makes Converged
-		// unreachable instead of doing what it says.
+		// The MaxRequests cap fires before MinRequests can be reached,
+		// so this configuration silently makes Converged unreachable
+		// instead of doing what it says.
 		return fmt.Errorf("core: min requests %d exceeds max requests %d; the request cap would always fire before the stopping rule could hold", c.MinRequests, c.MaxRequests)
 	case c.ZipfS != 0 && !(1 < c.ZipfS && c.ZipfS <= math.MaxFloat64):
 		return fmt.Errorf("core: zipf exponent %v must be finite and exceed 1 (or be 0 for uniform)", c.ZipfS)
@@ -199,33 +196,15 @@ func (c Config) Validate() error {
 		// its step budget instead of degrading gracefully.
 		return fmt.Errorf("core: scheme %q is serial (concludes absence only after a full clean pass); with faults enabled and availability %v < 1, unbounded retries (Faults.MaxRetries=0) may never terminate on a missing key — set Faults.MaxRetries", c.Scheme, c.Availability)
 	}
-	if err := c.Multi.Validate(); err != nil {
-		return err
-	}
-	switch c.Engine {
-	case "", EngineEvents, EngineCohort:
-	default:
-		return fmt.Errorf("core: unknown engine %q (have %q, %q)", c.Engine, EngineEvents, EngineCohort)
-	}
-	return nil
+	return c.Multi.Validate()
 }
 
-// Engine names accepted by Config.Engine.
+// Engine names once accepted by Config.Engine; both now select the one
+// request engine, like any other value.
 const (
-	// EngineEvents is the reference event-driven engine; an empty
-	// Config.Engine means the same thing.
 	EngineEvents = "events"
-	// EngineCohort is the batched columnar cohort engine (cohort.go),
-	// bit-identical to EngineEvents for every configuration it accepts.
 	EngineCohort = "cohort"
 )
-
-// EngineNames lists the accepted Config.Engine values, for CLI help.
-func EngineNames() []string { return []string{EngineEvents, EngineCohort} }
-
-// useCohort reports whether the run should go through the columnar
-// cohort engine.
-func (c Config) useCohort() bool { return c.Engine == EngineCohort }
 
 // faultsCanCorrupt reports whether the fault configuration can actually
 // corrupt a read: an enabled model at rate zero takes the injected code

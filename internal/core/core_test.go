@@ -38,7 +38,6 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		func(c *Config) { c.Shards = -1 },
 		func(c *Config) { c.Shards = c.MaxRequests + 1 },
 		func(c *Config) { c.MinRequests = c.MaxRequests + 1 },
-		func(c *Config) { c.Engine = "columnar" },
 		func(c *Config) { c.Faults = faults.Config{Model: faults.ModelDrop, DropRate: 1.5} },
 		func(c *Config) { c.ZipfS = 1.5; c.Data.NumRecords = 1 },
 	}

@@ -35,7 +35,7 @@ func TestOneShardMatchesSequential(t *testing.T) {
 	golden := readGolden(t)
 	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
-			key := tc.golden + "/shards=1/events"
+			key := tc.golden + "/shards=1"
 			for _, shards := range []int{0, 1} {
 				cfg := smallConfig("distributed", 300)
 				cfg.Shards = shards
@@ -92,7 +92,7 @@ func TestFourShardsAgreeWithinAccuracy(t *testing.T) {
 // TestShardedDeterministicAcrossGOMAXPROCS pins the determinism contract:
 // for a fixed (seed, shards) pair the Result is bit-identical however
 // many OS threads schedule the stream goroutines, and across repeat runs,
-// on both engines.
+// under either accepted Config.Engine value.
 func TestShardedDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	for _, engine := range []string{EngineEvents, EngineCohort} {
 		t.Run(engine, func(t *testing.T) {
@@ -126,7 +126,8 @@ func TestShardedDeterministicAcrossGOMAXPROCS(t *testing.T) {
 
 // TestRunIdempotent: a Simulator keeps no state between runs — every
 // stream is rebuilt from (Seed, shard) — so calling Run twice on one
-// instance returns identical Results on both engines at any shard count.
+// instance returns identical Results at any shard count, under either
+// accepted Config.Engine value.
 func TestRunIdempotent(t *testing.T) {
 	for _, engine := range []string{EngineEvents, EngineCohort} {
 		for _, shards := range []int{1, 2} {
@@ -195,7 +196,7 @@ func TestZipfSingleRecordRejected(t *testing.T) {
 }
 
 // TestZipfSmallestLegalConfig runs the smallest dataset a Zipf workload
-// accepts (2 records) end to end, on both engine paths.
+// accepts (2 records) end to end, at one and two shards.
 func TestZipfSmallestLegalConfig(t *testing.T) {
 	cfg := smallConfig("flat", 2)
 	cfg.ZipfS = 1.5

@@ -19,12 +19,11 @@ import (
 	"github.com/airindex/airindex/internal/schemes/signature"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/results.golden from the current engines")
+var updateGolden = flag.Bool("update", false, "rewrite testdata/results.golden from the current engine")
 
 const goldenPath = "testdata/results.golden"
 
-// goldenCase is one pinned run: a workload variant at one shard count on
-// one engine.
+// goldenCase is one pinned run: a workload variant at one shard count.
 type goldenCase struct {
 	name string
 	cfg  Config
@@ -71,17 +70,14 @@ func goldenVariants() []goldenCase {
 	return vs
 }
 
-// goldenCases expands every variant over shards {1, 4} and both engines.
+// goldenCases expands every variant over shards {1, 4}.
 func goldenCases() []goldenCase {
 	var cs []goldenCase
 	for _, v := range goldenVariants() {
 		for _, shards := range []int{1, 4} {
-			for _, engine := range []string{EngineEvents, EngineCohort} {
-				cfg := v.cfg
-				cfg.Shards = shards
-				cfg.Engine = engine
-				cs = append(cs, goldenCase{fmt.Sprintf("%s/shards=%d/%s", v.name, shards, engine), cfg})
-			}
+			cfg := v.cfg
+			cfg.Shards = shards
+			cs = append(cs, goldenCase{fmt.Sprintf("%s/shards=%d", v.name, shards), cfg})
 		}
 	}
 	return cs
@@ -121,7 +117,7 @@ func readGolden(t *testing.T) map[string]string {
 
 // TestGoldenResults pins the Result of every golden case against
 // testdata/results.golden. The file is an absolute record of the request
-// streams both engines produce; any change to it is a change to the
+// streams the engine produces; any change to it is a change to the
 // simulator's numbers and must be deliberate (regenerate with -update).
 func TestGoldenResults(t *testing.T) {
 	cases := goldenCases()

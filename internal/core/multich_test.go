@@ -106,7 +106,7 @@ func TestMultiShardedMatchesSequentialShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := "(1,m)/multi-k2/shards=1/events"
+	key := "(1,m)/multi-k2/shards=1"
 	if want, got := readGolden(t)[key], formatGolden(key, res); got != want {
 		t.Fatalf("one-shard multichannel run diverged from the sequential stream:\nwant: %s\ngot:  %s", want, got)
 	}

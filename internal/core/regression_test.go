@@ -118,17 +118,17 @@ func TestShardedCapExitAppliesStoppingRule(t *testing.T) {
 
 // TestCapExitOneShardIdentity pins the symmetry of the fix: applying
 // the stopping rule on the cap exit must preserve the one-shard
-// differential identity between the event and cohort engines even when
-// the cap lands mid-round — the samples are bit-identical, so the
-// verdicts are too.
+// differential identity between Run's batched rounds and the
+// one-request-at-a-time reference loop even when the cap lands
+// mid-round — the samples are bit-identical, so the verdicts are too.
 func TestCapExitOneShardIdentity(t *testing.T) {
 	cfg := capConfig(0.1)
 	cfg.Shards = 1
-	events, cohort := runEngines(t, cfg)
-	if !events.Converged {
+	ref, got := runBoth(t, cfg)
+	if !ref.Converged {
 		t.Fatal("cap-exit run should converge under the loose accuracy target")
 	}
-	if !reflect.DeepEqual(events, cohort) {
-		t.Fatalf("cap-exit run diverged between event and cohort engines:\nevents: %+v\ncohort: %+v", events, cohort)
+	if !reflect.DeepEqual(ref, got) {
+		t.Fatalf("cap-exit run diverged from the reference loop:\nreference: %+v\nrun:       %+v", ref, got)
 	}
 }

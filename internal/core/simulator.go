@@ -56,7 +56,8 @@ type Result struct {
 	CycleBytes units.ByteCount
 	// Params echoes the scheme's structural parameters.
 	Params map[string]float64
-	// Events is the number of simulator events processed.
+	// Events is the number of simulator events processed. Arrivals are
+	// the only events, so it equals Requests.
 	Events int64
 }
 
@@ -167,19 +168,12 @@ func (s *Simulator) accuracyMet(res *Result) bool {
 		res.Tuning.Converged(s.cfg.Confidence, s.cfg.Accuracy)
 }
 
-// runRequest executes one request process for a stream with a fresh
-// client per protocol restart.
-func (s *Simulator) runRequest(st *stream, key uint64, arrival sim.Time) (access.MultiResult, error) {
-	return s.walk(st, func() access.Client { return s.bc.NewClient(key) }, arrival)
-}
-
 // walk runs one request's walk on the run's geometry — the K-channel set
 // when the multichannel subsystem is active, the scheme's channel
 // otherwise — through the stream's fault injector (nil on a perfect
 // channel), which is first advanced to the new request. The walkers
 // consume no arrival RNG, so the arrival and fault streams are the same
-// on every geometry. Both engines call it, so the corruption stream
-// lines up request for request.
+// on every geometry.
 func (s *Simulator) walk(st *stream, newClient func() access.Client, arrival sim.Time) (access.MultiResult, error) {
 	var inj access.Corrupter
 	if st.inj != nil {

@@ -173,20 +173,27 @@ func (d *Dataset) EncodeKey(key uint64) []byte {
 
 // EncodeKeyWidth is EncodeKey for an explicit width (at least 8 bytes).
 func EncodeKeyWidth(key uint64, width int) []byte {
-	buf := make([]byte, width)
+	return AppendKey(make([]byte, 0, width), key, width)
+}
+
+// AppendKey appends key's width-byte encoding to dst and returns the
+// extended slice, so a caller with a large enough buffer encodes keys
+// without allocating.
+func AppendKey(dst []byte, key uint64, width int) []byte {
 	// Base-36 digits from the least significant end keep the encoding
 	// compact enough for any uint64 within 13 bytes; remaining leading
 	// bytes are '0' padding so lexicographic order matches numeric order.
 	const digits = "0123456789abcdefghijklmnopqrstuvwxyz"
-	for i := range buf {
-		buf[i] = '0'
+	n := len(dst)
+	for i := 0; i < width; i++ {
+		dst = append(dst, '0')
 	}
 	k := key
-	for i := width - 1; i >= 0 && k > 0; i-- {
-		buf[i] = digits[k%36]
+	for i := n + width - 1; i >= n && k > 0; i-- {
+		dst[i] = digits[k%36]
 		k /= 36
 	}
-	return buf
+	return dst
 }
 
 // DecodeKey parses a key encoded by EncodeKeyWidth.

@@ -52,8 +52,7 @@ func runHotAlloc(pass *Pass) {
 // checkHotBody walks one function body against the hot-path rules. sig
 // is the enclosing function's signature, used to type return values;
 // closures are checked recursively against their own signatures, since
-// a marked function's inner loop is often a literal (the engine's
-// self-rescheduling arrival callback).
+// a marked function's inner loop may be a literal.
 func checkHotBody(pass *Pass, body ast.Node, sig *types.Signature) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {

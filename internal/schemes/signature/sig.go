@@ -14,10 +14,7 @@
 // clients skip whole record groups).
 package signature
 
-import (
-	"fmt"
-	"hash/fnv"
-)
+import "fmt"
 
 // Options configures signature generation and the group-based extensions.
 type Options struct {
@@ -63,24 +60,73 @@ type Sig []byte
 
 // fieldSig sets weight pseudo-random bits derived from the field bytes in
 // an nbytes-long signature. The bit positions come from a splitmix64
-// sequence seeded by the FNV-64a hash of the field, so generation is
-// deterministic and well spread.
+// sequence seeded by the FNV-64a hash of the field (fieldHash, bitPos),
+// so generation is deterministic and well spread.
 func fieldSig(field []byte, nbytes, weight int) Sig {
 	s := make(Sig, nbytes)
-	h := fnv.New64a()
-	h.Write(field)
-	state := h.Sum64()
+	state := fieldHash(field)
 	bits := uint64(nbytes * 8)
 	for i := 0; i < weight; i++ {
-		state += 0x9e3779b97f4a7c15
-		z := state
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		z ^= z >> 31
-		pos := z % bits
+		pos := bitPos(&state, bits)
 		s[pos/8] |= 1 << (pos % 8)
 	}
 	return s
+}
+
+// fieldHash is the FNV-64a hash of a field's bytes.
+func fieldHash(field []byte) uint64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for _, c := range field {
+		h ^= uint64(c)
+		h *= prime64
+	}
+	return h
+}
+
+// bitPos advances a field's splitmix64 state and returns the next bit
+// position it sets in a signature of the given bit length.
+func bitPos(state *uint64, bits uint64) uint64 {
+	*state += 0x9e3779b97f4a7c15
+	z := *state
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	z ^= z >> 31
+	return z % bits
+}
+
+// pack ORs signature s into the packed words w, ceil(len(s)/8) of them:
+// little-endian 64-bit words, so bit p of the signature bytes (byte p/8,
+// bit p%8) is bit p%64 of word p/64, and bits past the signature's
+// length stay zero.
+func pack(w []uint64, s Sig) {
+	for i, b := range s {
+		w[i/8] |= uint64(b) << (8 * (i % 8))
+	}
+}
+
+// packField ORs the weight bits of the field with hash h into packed
+// words for an nbytes-long signature: fieldSig's bit positions, packed.
+func packField(w []uint64, h uint64, nbytes, weight int) {
+	bits := uint64(nbytes * 8)
+	for i := 0; i < weight; i++ {
+		pos := bitPos(&h, bits)
+		w[pos/64] |= 1 << (pos % 64)
+	}
+}
+
+// coversWords is the simple scheme's match test on packed words: every
+// bit of the query q is also set in the record signature s.
+func coversWords(s, q []uint64) bool {
+	for i, w := range q {
+		if s[i]&w != w {
+			return false
+		}
+	}
+	return true
 }
 
 // Superimpose ORs other into s in place.

@@ -62,6 +62,41 @@ func TestCoversProperties(t *testing.T) {
 	}
 }
 
+// TestPackedKeyQueryMatchesQuerySig pins the allocation-free query the
+// simple scheme's client and resolver share: for key widths from 4 to
+// 64 bytes and signatures from 1 to 64 bytes, keyQuery must equal the
+// packed QuerySig of the encoded key, so the packed words hash and place
+// bits exactly as the byte signatures the buckets carry.
+func TestPackedKeyQueryMatchesQuerySig(t *testing.T) {
+	for _, width := range []int{4, 13, 25, 64} {
+		cfg := datagen.Default(20)
+		cfg.KeySize = width
+		ds, err := datagen.Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sigBytes := range []int{1, 3, 16, 64} {
+			opts := DefaultOptions()
+			opts.SigBytes, opts.BitsPerField = sigBytes, min(8, sigBytes*8)
+			b, err := Build(ds, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, key := range []uint64{0, 1, ds.KeyAt(7), ds.MissingKeyNear(19), 1 << 63} {
+				got := make([]uint64, b.nwords)
+				b.keyQuery(got, nil, key)
+				want := make([]uint64, b.nwords)
+				pack(want, QuerySig(ds.EncodeKey(key), opts.SigBytes, opts.BitsPerField))
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("width %d, %d-byte signature, key %d: packed query %x, want %x", width, sigBytes, key, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestOptionsValidate(t *testing.T) {
 	bad := []Options{
 		{SigBytes: 0, BitsPerField: 1, GroupSize: 1, GroupSigBytes: 1},

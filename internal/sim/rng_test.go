@@ -133,3 +133,38 @@ func TestSplitMixSubstreamMeansUnbiased(t *testing.T) {
 		}
 	}
 }
+
+func TestExponentialMean(t *testing.T) {
+	g := NewRNG(42)
+	const mean = 1000.0
+	const n = 200000
+	var sum float64
+	for i := 0; i < n; i++ {
+		sum += float64(g.Exponential(mean))
+	}
+	got := sum / n
+	if math.Abs(got-mean)/mean > 0.02 {
+		t.Fatalf("exponential sample mean %.1f, want within 2%% of %.1f", got, mean)
+	}
+}
+
+func TestExponentialAlwaysPositive(t *testing.T) {
+	g := NewRNG(1)
+	for i := 0; i < 10000; i++ {
+		if d := g.Exponential(0.001); d < 1 {
+			t.Fatalf("Exponential returned %d < 1", d)
+		}
+	}
+	if d := g.Exponential(-5); d != 1 {
+		t.Fatalf("Exponential with nonpositive mean = %d, want 1", d)
+	}
+}
+
+func TestRNGDeterminism(t *testing.T) {
+	a, b := NewRNG(99), NewRNG(99)
+	for i := 0; i < 1000; i++ {
+		if a.Exponential(500) != b.Exponential(500) || a.Intn(1000) != b.Intn(1000) {
+			t.Fatal("same seed produced diverging streams")
+		}
+	}
+}

@@ -1,5 +1,5 @@
-// Package sim provides the discrete-event simulation kernel used by the
-// wireless broadcast testbed.
+// Package sim provides the testbed's virtual byte-clock and its seeded
+// random streams.
 //
 // Time in the simulator is a virtual byte-clock: the broadcast channel
 // transmits exactly one byte per time unit, so every duration is expressed
@@ -7,160 +7,12 @@
 // which evaluates access time and tuning time "in terms of the number of
 // bytes read" to remove CPU-speed and network-delay noise from the results.
 //
-// The kernel is a classic event-queue design: events carry a firing time
-// and a callback, ties are broken by insertion order so that runs are fully
-// deterministic for a fixed seed.
+// A request's process is one walk of the periodic broadcast schedule on
+// this clock, from its arrival to its last bucket read; arrivals are the
+// only events, and each request stream draws them in order from its own
+// RNG, so the testbed needs no event queue.
 package sim
-
-import (
-	"container/heap"
-	"errors"
-	"fmt"
-)
 
 // Time is a point on the simulation's virtual byte-clock. One unit equals
 // the transmission time of one byte on the broadcast channel.
 type Time int64
-
-// Event is a scheduled callback. The callback receives the simulator so it
-// can schedule follow-up events.
-type Event struct {
-	At Time
-	Do func(*Simulator)
-
-	seq int64 // insertion order, used as a deterministic tie-breaker
-	idx int   // heap index
-}
-
-// eventQueue is a min-heap of events ordered by (At, seq).
-type eventQueue []*Event
-
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].At != q[j].At {
-		return q[i].At < q[j].At
-	}
-	return q[i].seq < q[j].seq
-}
-
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].idx = i
-	q[j].idx = j
-}
-
-func (q *eventQueue) Push(x any) {
-	ev := x.(*Event)
-	ev.idx = len(*q)
-	*q = append(*q, ev)
-}
-
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.idx = -1
-	*q = old[:n-1]
-	return ev
-}
-
-// ErrStopped is returned by Run when the simulation was stopped explicitly
-// via Stop rather than by draining the event queue.
-var ErrStopped = errors.New("sim: stopped")
-
-// Simulator owns the virtual clock and the pending-event queue.
-type Simulator struct {
-	now     Time
-	queue   eventQueue
-	nextSeq int64
-	stopped bool
-
-	// Processed counts events that have fired since construction.
-	Processed int64
-}
-
-// New returns an empty simulator with the clock at zero.
-func New() *Simulator {
-	return &Simulator{}
-}
-
-// Now returns the current virtual time.
-func (s *Simulator) Now() Time { return s.now }
-
-// Pending returns the number of events waiting to fire.
-func (s *Simulator) Pending() int { return len(s.queue) }
-
-// At schedules fn to run at absolute time t. Scheduling in the past is a
-// programming error and panics: broadcast protocols only ever wait forward.
-func (s *Simulator) At(t Time, fn func(*Simulator)) *Event {
-	if t < s.now {
-		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, s.now))
-	}
-	ev := &Event{At: t, Do: fn, seq: s.nextSeq}
-	s.nextSeq++
-	heap.Push(&s.queue, ev)
-	return ev
-}
-
-// After schedules fn to run d time units from now.
-func (s *Simulator) After(d Time, fn func(*Simulator)) *Event {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %d", d))
-	}
-	return s.At(s.now+d, fn)
-}
-
-// Cancel removes a scheduled event. Cancelling an already-fired or
-// already-cancelled event is a no-op.
-func (s *Simulator) Cancel(ev *Event) {
-	if ev == nil || ev.idx < 0 || ev.idx >= len(s.queue) || s.queue[ev.idx] != ev {
-		return
-	}
-	heap.Remove(&s.queue, ev.idx)
-}
-
-// Stop makes Run return after the currently firing event completes.
-func (s *Simulator) Stop() { s.stopped = true }
-
-// Run fires events in time order until the queue drains, Stop is called, or
-// maxEvents events have fired (maxEvents <= 0 means no limit). It returns
-// ErrStopped if stopped, or an error if the event budget was exhausted.
-//
-//airlint:hotpath
-func (s *Simulator) Run(maxEvents int64) error {
-	fired := int64(0)
-	for len(s.queue) > 0 {
-		if s.stopped {
-			s.stopped = false
-			return ErrStopped
-		}
-		if maxEvents > 0 && fired >= maxEvents {
-			//airlint:allow escapecheck fmt.Errorf boxes its operands on this terminal error path
-			return fmt.Errorf("sim: event budget %d exhausted at t=%d with %d pending", maxEvents, s.now, len(s.queue)) //airlint:allow hotalloc terminal budget-exhaustion path, once per failed run
-		}
-		ev := heap.Pop(&s.queue).(*Event)
-		s.now = ev.At
-		s.Processed++
-		fired++
-		ev.Do(s)
-	}
-	return nil
-}
-
-// RunUntil fires events whose time is <= deadline, leaving later events
-// queued, and advances the clock to the deadline.
-//
-//airlint:hotpath
-func (s *Simulator) RunUntil(deadline Time) {
-	for len(s.queue) > 0 && s.queue[0].At <= deadline {
-		ev := heap.Pop(&s.queue).(*Event)
-		s.now = ev.At
-		s.Processed++
-		ev.Do(s)
-	}
-	if s.now < deadline {
-		s.now = deadline
-	}
-}

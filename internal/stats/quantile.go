@@ -112,7 +112,7 @@ func (q *Quantile) Add(x float64) {
 
 // AddAll records a batch of observations in slice order — exactly
 // equivalent to calling Add on each element. P² marker updates are
-// order-sensitive like Welford accumulation, so the cohort engine's
+// order-sensitive like Welford accumulation, so the engine's
 // column-at-a-time folding stays bit-identical to per-request adds.
 //
 //airlint:hotpath

@@ -47,9 +47,9 @@ func (s *Sample) Add(x float64) {
 
 // AddAll records a batch of observations in slice order. It is exactly
 // equivalent to calling Add on each element — Welford accumulation is
-// order-sensitive, so the columnar cohort engine hands whole result
+// order-sensitive, so the engine's batched rounds hand whole result
 // columns here instead of interleaving per-request Add calls, and the
-// bits still match the event engine's.
+// bits still match a one-request-at-a-time fold.
 //
 //airlint:hotpath
 func (s *Sample) AddAll(xs []float64) {

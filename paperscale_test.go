@@ -90,19 +90,18 @@ func TestPaperScaleTreeGeometry(t *testing.T) {
 	}
 }
 
-// TestPaperScaleCohortMillionClients is the cohort engine's acceptance
+// TestPaperScaleCohortMillionClients is the batched kernels' acceptance
 // point: one million requests at the Figure-4 midpoint geometry run to
 // completion through the columnar kernels in a couple of seconds, with
 // the exact request count the cap forces and the flat half-cycle means.
-// The bit-identity with the event engine at this scale is checked
-// offline (BENCH.md); in-tree the differential suite pins it at small N
-// where the reference engine is affordable.
+// The bit-identity with a one-request-at-a-time loop is pinned in-tree
+// at small N by internal/core's differential suite, where the reference
+// loop is affordable.
 func TestPaperScaleCohortMillionClients(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs 1,000,000 requests")
 	}
 	cfg := core.DefaultConfig("flat", 17500)
-	cfg.Engine = core.EngineCohort
 	cfg.MinRequests = 1_000_000
 	cfg.MaxRequests = 1_000_000
 	res, err := core.RunOne(cfg)
