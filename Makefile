@@ -11,15 +11,15 @@ vet:
 	$(GO) vet ./...
 
 # Project static analysis: determinism, floatcompare, confinement,
-# unitsafety, exhaustive, mergecomplete, rngdiscipline, byteclock,
-# hotalloc, maporder and seedtaint, plus //airlint:allow /
+# unitsafety, exhaustive, mergecomplete, byteclock, hotalloc, maporder
+# and seedtaint, plus //airlint:allow /
 # //airlint:hotpath directive checking (see internal/lint and
 # DESIGN.md §7). escapecheck needs compiler output; see lint-escape.
 lint:
 	$(GO) run ./cmd/airlint ./...
 
 # One analyzer at a time, for iterating on a fix:
-#   make lint-only A=rngdiscipline
+#   make lint-only A=maporder
 lint-only:
 	$(GO) run ./cmd/airlint -only $(A) ./...
 

@@ -1,14 +1,14 @@
 // Command airlint runs the project's static-analysis suite: the
 // determinism, floatcompare, confinement, unitsafety, exhaustive,
-// mergecomplete, rngdiscipline, byteclock, hotalloc, maporder,
-// seedtaint, and escapecheck analyzers plus `//airlint:allow` /
-// `//airlint:hotpath` directive checking (see internal/lint).
+// mergecomplete, byteclock, hotalloc, maporder, seedtaint, and
+// escapecheck analyzers plus `//airlint:allow` / `//airlint:hotpath`
+// directive checking (see internal/lint).
 //
 // Usage:
 //
 //	airlint ./...                 # lint the whole module
 //	airlint ./internal/sim        # lint one package
-//	airlint -only rngdiscipline,hotalloc ./...  # a subset, for iteration
+//	airlint -only maporder,hotalloc ./...  # a subset, for iteration
 //	airlint -escape ./...         # also cross-check hotpaths vs the compiler
 //	airlint -json ./...           # one JSON object per finding
 //	airlint -list                 # describe the analyzers
@@ -18,10 +18,6 @@
 // or with -json as one {"file","line","col","analyzer","message"} object
 // per line (no summary line), for machine consumers such as the CI
 // problem matcher in .github/problem-matchers/airlint.json.
-//
-// All selected packages are checked in one batch so the module-wide
-// rules see every call site at once (rngdiscipline's duplicate-label
-// check spans packages).
 //
 // The escapecheck analyzer needs the compiler's escape diagnostics:
 // -escape shells out to `go build -gcflags='-m -m'` over the selected
@@ -122,7 +118,7 @@ func run(args []string, out io.Writer) (int, error) {
 			return 2, err
 		}
 	}
-	diags, err := lint.CheckWith(pkgs, opts)
+	diags, err := lint.Check(pkgs, opts)
 	if err != nil {
 		return 2, err
 	}

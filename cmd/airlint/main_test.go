@@ -43,10 +43,13 @@ func TestRunListsAnalyzers(t *testing.T) {
 	if err != nil || code != 0 {
 		t.Fatalf("-list: code %d err %v", code, err)
 	}
-	for _, want := range []string{"determinism", "floatcompare", "confinement", "unitsafety", "exhaustive", "mergecomplete", "rngdiscipline", "byteclock", "hotalloc", "maporder", "seedtaint", "escapecheck", "directive", "hotpath"} {
+	for _, want := range []string{"determinism", "floatcompare", "confinement", "unitsafety", "exhaustive", "mergecomplete", "byteclock", "hotalloc", "maporder", "seedtaint", "escapecheck", "directive", "hotpath"} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("-list output missing %q:\n%s", want, out.String())
 		}
+	}
+	if strings.Contains(out.String(), "rngdiscipline") {
+		t.Fatalf("-list output still names the retired rngdiscipline analyzer:\n%s", out.String())
 	}
 }
 

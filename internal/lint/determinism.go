@@ -12,8 +12,15 @@ import (
 // Everywhere (outside test files) it forbids wall-clock and timer calls
 // (time.Now, time.Sleep, time.Since, ...) and the global top-level
 // math/rand functions — all randomness must flow through sim.RNG, which
-// carries an explicit seed. The deterministic constructors rand.New,
-// rand.NewSource and rand.NewZipf are permitted.
+// carries an explicit seed. The deterministic constructors (rand.New,
+// rand.NewSource, rand.NewZipf, and v2's rand.NewPCG and
+// rand.NewChaCha8) are permitted.
+//
+// Inside the simulation-critical packages, internal/sim excepted, even
+// the seeded constructors are flagged: a source built directly bypasses
+// the SplitMix decorrelation of sim.NewRNG, sim.NewShardRNG and
+// sim.StreamSeed, so shards could draw correlated streams. internal/sim
+// owns those constructors and alone may touch math/rand directly.
 //
 // One package is sanctioned for wall-clock use: internal/aircast, the
 // live broadcast daemon, whose pacer exists to map the byte-clock onto
@@ -22,15 +29,10 @@ import (
 // proxy draws from a seeded faults.Injector substream — so only the
 // `time` ban is lifted; the math/rand bans still apply.
 //
-// Inside the simulation-critical packages (internal/sim, internal/schemes,
-// internal/core, internal/channel, internal/access, internal/stats) it
-// additionally flags `range` loops over maps whose iteration feeds a
-// slice or return value with no subsequent sort in the same function:
-// Go randomizes map iteration order, so such loops leak nondeterminism
-// into results.
+// Map-iteration order is maporder's, tracked by dataflow.
 var DeterminismAnalyzer = &Analyzer{
 	Name: "determinism",
-	Doc:  "forbid wall-clock reads, global math/rand, and unsorted map-iteration results",
+	Doc:  "forbid wall-clock reads, global math/rand, and direct math/rand construction in simulation packages",
 	Run:  runDeterminism,
 }
 
@@ -42,10 +44,11 @@ var wallClockFuncs = map[string]bool{
 	"AfterFunc": true,
 }
 
-// seededRandFuncs are the math/rand constructors that take an explicit
-// seed or source and are therefore deterministic.
+// seededRandFuncs are the math/rand and math/rand/v2 constructors that
+// take an explicit seed or source and are therefore deterministic.
 var seededRandFuncs = map[string]bool{
 	"New": true, "NewSource": true, "NewZipf": true,
+	"NewPCG": true, "NewChaCha8": true,
 }
 
 // wallClockSanctioned are the packages whose job is to bridge the
@@ -53,6 +56,9 @@ var seededRandFuncs = map[string]bool{
 var wallClockSanctioned = []string{
 	"internal/aircast",
 }
+
+// randConstructExempt owns the sanctioned RNG constructors.
+var randConstructExempt = []string{"internal/sim"}
 
 func runDeterminism(pass *Pass) {
 	timeSanctioned := underAny(pass.RelPath, wallClockSanctioned)
@@ -78,107 +84,27 @@ func runDeterminism(pass *Pass) {
 		}
 	}
 
-	if !underAny(pass.RelPath, simCritical) {
+	if !underAny(pass.RelPath, simCritical) || underAny(pass.RelPath, randConstructExempt) {
 		return
 	}
+	// One finding per construction: rand.New(rand.NewPCG(seed, 1)) is
+	// reported at the outer call, and nested constructors are skipped.
 	for _, f := range pass.Files {
+		var covered token.Pos
 		ast.Inspect(f, func(n ast.Node) bool {
-			fd, ok := n.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || call.Pos() < covered {
 				return true
 			}
-			checkMapRanges(pass, fd)
+			fn := typeutilCallee(pass.Info, call)
+			if fn == nil || fn.Pkg() == nil || !seededRandFuncs[fn.Name()] {
+				return true
+			}
+			if p := fn.Pkg().Path(); p == "math/rand" || p == "math/rand/v2" {
+				pass.Reportf(call.Pos(), "direct math/rand construction in a simulation-critical package; derive substreams through sim.NewRNG, sim.NewShardRNG or sim.StreamSeed so shards stay decorrelated")
+				covered = call.End()
+			}
 			return true
 		})
 	}
-}
-
-// checkMapRanges flags map-range loops in fd whose body appends to a
-// slice or returns, unless a sort call follows the loop in the same
-// function body.
-func checkMapRanges(pass *Pass, fd *ast.FuncDecl) {
-	var ranges []*ast.RangeStmt
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		rng, ok := n.(*ast.RangeStmt)
-		if !ok {
-			return true
-		}
-		t := pass.Info.TypeOf(rng.X)
-		if t == nil {
-			return true
-		}
-		if _, isMap := t.Underlying().(*types.Map); isMap {
-			ranges = append(ranges, rng)
-		}
-		return true
-	})
-	if len(ranges) == 0 {
-		return
-	}
-	var sortPositions []token.Pos
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if ok && isSortCall(pass, call) {
-			sortPositions = append(sortPositions, call.Pos())
-		}
-		return true
-	})
-	for _, rng := range ranges {
-		if !feedsResult(rng.Body) {
-			continue
-		}
-		sorted := false
-		for _, p := range sortPositions {
-			if p > rng.End() {
-				sorted = true
-				break
-			}
-		}
-		if !sorted {
-			pass.Reportf(rng.For, "map iteration order is randomized; results collected here must be sorted before use (or iterate a sorted key slice)")
-		}
-	}
-}
-
-// feedsResult reports whether the loop body accumulates into a slice
-// (via append) or returns a value — the two ways iteration order can
-// escape into a run's output.
-func feedsResult(body *ast.BlockStmt) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			if id, ok := n.Fun.(*ast.Ident); ok && id.Name == "append" {
-				found = true
-			}
-		case *ast.ReturnStmt:
-			if len(n.Results) > 0 {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
-}
-
-// isSortCall recognizes ordering calls from the sort and slices packages.
-func isSortCall(pass *Pass, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	obj, ok := pass.Info.Uses[sel.Sel]
-	if !ok || obj.Pkg() == nil {
-		return false
-	}
-	switch obj.Pkg().Path() {
-	case "sort":
-		return true
-	case "slices":
-		switch obj.Name() {
-		case "Sort", "SortFunc", "SortStableFunc":
-			return true
-		}
-	}
-	return false
 }

@@ -58,7 +58,7 @@ func TestEscapeCheckAgainstFixture(t *testing.T) {
 			{Line: 41, Col: 2, Msg: "moved to heap: u"}, // Free: not hotpath
 		},
 	}}
-	diags, err := CheckWith([]*Package{pkg}, Options{Escapes: data})
+	diags, err := Check([]*Package{pkg}, Options{Escapes: data})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestOnlyEscapeCheckNeedsData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = CheckWith([]*Package{pkg}, Options{Only: []string{"escapecheck"}})
+	_, err = Check([]*Package{pkg}, Options{Only: []string{"escapecheck"}})
 	if err == nil {
 		t.Fatal("escapecheck-only run without escape data should error")
 	}
@@ -145,7 +145,7 @@ func Leak() *int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := CheckWith([]*Package{pkg}, Options{Only: []string{"escapecheck"}, Escapes: data})
+	diags, err := Check([]*Package{pkg}, Options{Only: []string{"escapecheck"}, Escapes: data})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,8 +4,9 @@
 // replayable from its seed (DESIGN.md §1). airlint enforces the coding
 // contract that keeps the guarantee true as the codebase grows:
 //
-//   - determinism: no wall-clock reads, no global math/rand, no
-//     map-iteration order leaking into results (see determinism.go);
+//   - determinism: no wall-clock reads, no global math/rand, and no
+//     direct math/rand construction in the simulation-critical packages
+//     outside internal/sim (see determinism.go);
 //   - floatcompare: no exact ==/!= between floats in the analytical and
 //     stats packages (see floatcompare.go);
 //   - confinement: no goroutines, WaitGroups or channel fan-out outside
@@ -19,9 +20,6 @@
 //     struct must be combined in its Merge/merge function, so a new
 //     metric cannot be silently dropped at the shard barrier
 //     (see mergecomplete.go);
-//   - rngdiscipline: randomness in simulation-critical packages derives
-//     from sim.NewRNG/NewShardRNG/StreamSeed, and StreamSeed labels are
-//     distinct compile-time string literals (see rngdiscipline.go);
 //   - byteclock: broadcast-image bytes are consumed only through the
 //     clock-charging channel APIs — no decoding or cache reads that
 //     bypass access/tuning accounting (see byteclock.go);
@@ -31,7 +29,8 @@
 //     (see hotalloc.go);
 //   - maporder: flow-sensitive — a value produced by ranging over a map
 //     is tainted "unordered" and may not reach a core.Result field, the
-//     experiment table emitters, or an fmt/writer sink unless a
+//     experiment table emitters, an fmt/writer sink, or (in the
+//     simulation-critical packages) a return, unless a
 //     sort.*/slices.Sort* call kills the taint (see maporder.go);
 //   - seedtaint: flow-sensitive — every value feeding an RNG
 //     construction must be data-flow-reachable from Config.Seed, a
@@ -47,6 +46,9 @@
 //     analyzers, unused suppressions and misplaced markers reported as
 //     errors; files carrying a standard "Code generated ... DO NOT
 //     EDIT." header are exempt from analysis (see directive.go).
+//
+// StreamSeed label uniqueness is not an analyzer: the sim package's
+// TestStreamSeedLabelsUnique scans every call site in the module.
 //
 // Everything is built on the standard library only (go/ast, go/parser,
 // go/token, go/types); there are no module dependencies.
@@ -155,39 +157,9 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		DeterminismAnalyzer, FloatCompareAnalyzer, ConfinementAnalyzer,
 		UnitSafetyAnalyzer, ExhaustiveAnalyzer,
-		MergeCompleteAnalyzer, RNGDisciplineAnalyzer, ByteClockAnalyzer, HotAllocAnalyzer,
+		MergeCompleteAnalyzer, ByteClockAnalyzer, HotAllocAnalyzer,
 		MapOrderAnalyzer, SeedTaintAnalyzer, EscapeCheckAnalyzer,
 	}
-}
-
-// Check runs every analyzer over one package; see CheckAll.
-func Check(pkg *Package) []Diagnostic {
-	return CheckAll([]*Package{pkg})
-}
-
-// CheckAll runs every analyzer over the packages, applies
-// `//airlint:allow` suppressions, and returns the surviving diagnostics
-// sorted by position. Directive errors (unknown verb or analyzer,
-// missing reason, unused suppression, misplaced hotpath marker) are
-// returned as diagnostics of the "directive" analyzer. Checking all
-// packages in one call matters for the module-wide rules: rngdiscipline
-// detects duplicate StreamSeed labels across packages only when it can
-// see every call site.
-func CheckAll(pkgs []*Package) []Diagnostic {
-	diags, err := CheckOnly(pkgs, nil)
-	if err != nil {
-		// nil analyzer selection cannot name an unknown analyzer.
-		panic(err)
-	}
-	return diags
-}
-
-// CheckOnly is CheckAll restricted to the named analyzers (all of them
-// when only is empty). Directive checking always runs, but allow
-// directives for deselected analyzers are ignored rather than reported
-// unused. An unknown analyzer name is an error.
-func CheckOnly(pkgs []*Package, only []string) ([]Diagnostic, error) {
-	return CheckWith(pkgs, Options{Only: only})
 }
 
 // Options configures a check run.
@@ -201,9 +173,15 @@ type Options struct {
 	Escapes *EscapeData
 }
 
-// CheckWith runs the selected analyzers over the packages with the
-// given options; see CheckOnly and CheckAll for the common wrappers.
-func CheckWith(pkgs []*Package, opts Options) ([]Diagnostic, error) {
+// Check runs the selected analyzers over the packages, applies
+// `//airlint:allow` suppressions, and returns the surviving diagnostics
+// sorted by position. Directive errors (unknown verb or analyzer,
+// missing reason, unused suppression, misplaced hotpath marker) are
+// returned as diagnostics of the "directive" analyzer; directive
+// checking always runs, but allow directives for deselected analyzers
+// are ignored rather than reported unused. An unknown analyzer name in
+// opts.Only is an error.
+func Check(pkgs []*Package, opts Options) ([]Diagnostic, error) {
 	known := make(map[string]bool)
 	var names []string
 	for _, a := range Analyzers() {
@@ -231,8 +209,8 @@ func CheckWith(pkgs []*Package, opts Options) ([]Diagnostic, error) {
 		delete(active, EscapeCheckAnalyzer.Name)
 	}
 
-	raws := make([][]Diagnostic, len(pkgs))
-	for i, pkg := range pkgs {
+	var diags []Diagnostic
+	for _, pkg := range pkgs {
 		var raw []Diagnostic
 		for _, a := range Analyzers() {
 			if !active[a.Name] {
@@ -251,17 +229,7 @@ func CheckWith(pkgs []*Package, opts Options) ([]Diagnostic, error) {
 			}
 			a.Run(pass)
 		}
-		raws[i] = raw
-	}
-	if active[RNGDisciplineAnalyzer.Name] {
-		for i, extra := range streamSeedDuplicates(pkgs) {
-			raws[i] = append(raws[i], extra...)
-		}
-	}
-
-	var diags []Diagnostic
-	for i, pkg := range pkgs {
-		diags = append(diags, applyDirectives(pkg, raws[i], active)...)
+		diags = append(diags, applyDirectives(pkg, raw, active)...)
 	}
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]

@@ -32,10 +32,20 @@ func check(t *testing.T, rel string) []string {
 		t.Fatalf("load %s: %v", rel, err)
 	}
 	var got []string
-	for _, d := range Check(pkg) {
+	for _, d := range checkPkg(t, pkg) {
 		got = append(got, fmt.Sprintf("%s:%d: %s", filepath.Base(d.Pos.Filename), d.Pos.Line, d.Analyzer))
 	}
 	return got
+}
+
+// checkPkg runs the full suite over one package.
+func checkPkg(t *testing.T, pkg *Package) []Diagnostic {
+	t.Helper()
+	diags, err := Check([]*Package{pkg}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return diags
 }
 
 func TestAnalyzers(t *testing.T) {
@@ -43,15 +53,17 @@ func TestAnalyzers(t *testing.T) {
 		rel  string
 		want []string
 	}{
-		// determinism: wall clock ×2, global rand, unsorted map range.
+		// determinism: wall clock ×2, global rand; maporder: a map-ordered
+		// slice returned from a simulation package.
 		{"internal/sim/bad", []string{
 			"bad.go:11: determinism",
 			"bad.go:15: determinism",
 			"bad.go:19: determinism",
-			"bad.go:24: determinism",
+			"bad.go:27: maporder",
 		}},
-		// determinism negatives: seeded rand, duration arithmetic,
-		// sorted map range, order-insensitive accumulation.
+		// determinism and maporder negatives: seeded rand inside
+		// internal/sim, duration arithmetic, sorted map range, an integer
+		// fold over a map.
 		{"internal/sim/good", nil},
 		// floatcompare: == and != between floats in scope.
 		{"internal/analytical/bad", []string{
@@ -60,8 +72,20 @@ func TestAnalyzers(t *testing.T) {
 		}},
 		// floatcompare negatives: tolerance, int ==, ordered <.
 		{"internal/analytical/good", nil},
-		// out of scope for floatcompare and the map-order rule.
+		// out of scope for floatcompare and maporder's return sink.
 		{"other", nil},
+		// seeded math/rand/v2 construction is deterministic.
+		{"other/randv2", nil},
+		// ...but inside a simulation package it is direct construction,
+		// reported once at the outer rand.New.
+		{"internal/core/randv2", []string{
+			"randv2.go:9: determinism",
+		}},
+		// maporder: a float sum over a map is order-dependent and is
+		// returned; the integer sum beside it is exact.
+		{"internal/stats/floatfold", []string{
+			"floatfold.go:11: maporder",
+		}},
 		// confinement: WaitGroup decl, make(chan), go statement.
 		{"internal/core/badgo", []string{
 			"badgo.go:8: confinement",
@@ -117,10 +141,11 @@ func TestAnalyzers(t *testing.T) {
 			"badswitch.go:20: exhaustive",
 		}},
 		{"internal/airql/goodswitch", nil},
-		// determinism and rngdiscipline scope covers the scenario compiler.
+		// determinism scope, construction rule included, covers the
+		// scenario compiler.
 		{"internal/airql/bad", []string{
 			"bad.go:13: determinism",
-			"bad.go:17: rngdiscipline",
+			"bad.go:17: determinism",
 		}},
 		{"internal/airql/good", nil},
 		// mergecomplete: a shard fold that drops exactly one counter.
@@ -135,19 +160,13 @@ func TestAnalyzers(t *testing.T) {
 		}},
 		// mergecomplete negative: whole-value copy inside a traced helper.
 		{"internal/stats/goodmerge", nil},
-		// rngdiscipline: direct construction, computed label, empty label,
-		// intra-package duplicate label.
+		// determinism: a seeded math/rand source built directly in a
+		// simulation package.
 		{"internal/faults/rngbad", []string{
-			"rngbad.go:14: rngdiscipline",
-			"rngbad.go:15: rngdiscipline",
-			"rngbad.go:16: rngdiscipline",
-			"rngbad.go:18: rngdiscipline",
+			"rngbad.go:13: determinism",
 		}},
-		// rngdiscipline negatives: sanctioned constructors, distinct labels.
+		// determinism negative: the sanctioned sim constructors.
 		{"internal/faults/rnggood", nil},
-		// a cross-package duplicate label is invisible to a one-package
-		// check; TestStreamSeedDuplicatesAcrossPackages batches it.
-		{"internal/multichannel/rngdup", nil},
 		// the fixture bucket codec itself sits outside byteclock's scope.
 		{"internal/channel", nil},
 		// byteclock: Encode outside the accessor, direct cache read,
@@ -290,8 +309,8 @@ func TestDiagnosticMessages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags := Check(pkg)
-	wantSubstrings := []string{"replayable from their seed", "replayable", "sim.RNG", "map iteration order"}
+	diags := checkPkg(t, pkg)
+	wantSubstrings := []string{"replayable from their seed", "replayable", "sim.RNG", "reaches return sink"}
 	if len(diags) != len(wantSubstrings) {
 		t.Fatalf("got %d diagnostics, want %d: %v", len(diags), len(wantSubstrings), diags)
 	}
@@ -312,7 +331,7 @@ func TestUnknownDirectiveListsKnownAnalyzers(t *testing.T) {
 		t.Fatal(err)
 	}
 	var dirDiag *Diagnostic
-	for _, d := range Check(pkg) {
+	for _, d := range checkPkg(t, pkg) {
 		if d.Analyzer == "directive" {
 			dirDiag = &d
 			break
@@ -321,7 +340,7 @@ func TestUnknownDirectiveListsKnownAnalyzers(t *testing.T) {
 	if dirDiag == nil {
 		t.Fatal("no directive diagnostic reported")
 	}
-	for _, name := range []string{"determinism", "floatcompare", "confinement", "unitsafety", "exhaustive", "mergecomplete", "rngdiscipline", "byteclock", "hotalloc"} {
+	for _, name := range []string{"determinism", "floatcompare", "confinement", "unitsafety", "exhaustive", "mergecomplete", "byteclock", "hotalloc", "maporder", "seedtaint"} {
 		if !strings.Contains(dirDiag.Message, name) {
 			t.Errorf("unknown-directive message %q does not list analyzer %q", dirDiag.Message, name)
 		}
@@ -335,36 +354,12 @@ func TestMergeCompleteNamesField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags := Check(pkg)
+	diags := checkPkg(t, pkg)
 	if len(diags) != 1 {
 		t.Fatalf("got %d diagnostics, want 1: %v", len(diags), diags)
 	}
 	if !strings.Contains(diags[0].Message, "Switches") {
 		t.Errorf("mergecomplete message %q does not name the dropped field Switches", diags[0].Message)
-	}
-}
-
-// TestStreamSeedDuplicatesAcrossPackages batches two packages whose
-// StreamSeed labels collide; neither is flagged alone.
-func TestStreamSeedDuplicatesAcrossPackages(t *testing.T) {
-	good, err := fixtureLoader.Load("internal/faults/rnggood")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dup, err := fixtureLoader.Load("internal/multichannel/rngdup")
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags := CheckAll([]*Package{good, dup})
-	if len(diags) != 1 {
-		t.Fatalf("got %d diagnostics, want 1: %v", len(diags), diags)
-	}
-	d := diags[0]
-	if d.Analyzer != "rngdiscipline" || filepath.Base(d.Pos.Filename) != "rngdup.go" {
-		t.Errorf("duplicate label reported as %v, want rngdiscipline in rngdup.go", d)
-	}
-	if !strings.Contains(d.Message, `"faults"`) || !strings.Contains(d.Message, "rnggood.go") {
-		t.Errorf("duplicate-label message %q should name the label and the first site", d.Message)
 	}
 }
 
@@ -375,14 +370,14 @@ func TestCheckOnlySubset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := CheckOnly([]*Package{pkg}, []string{"determinism"})
+	diags, err := Check([]*Package{pkg}, Options{Only: []string{"determinism"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(diags) != 0 {
 		t.Errorf("determinism-only run of hotbad reported %v, want none", diags)
 	}
-	diags, err = CheckOnly([]*Package{pkg}, []string{"hotalloc"})
+	diags, err = Check([]*Package{pkg}, Options{Only: []string{"hotalloc"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,9 +392,9 @@ func TestCheckOnlyUnknownName(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = CheckOnly([]*Package{pkg}, []string{"hotallocs"})
+	_, err = Check([]*Package{pkg}, Options{Only: []string{"hotallocs"}})
 	if err == nil {
-		t.Fatal("CheckOnly accepted an unknown analyzer name")
+		t.Fatal("Check accepted an unknown analyzer name")
 	}
 	if !strings.Contains(err.Error(), "hotallocs") || !strings.Contains(err.Error(), "hotalloc") {
 		t.Errorf("error %q should name the bad selection and list known analyzers", err)

@@ -9,31 +9,39 @@ import (
 	"github.com/airindex/airindex/internal/lint/flow"
 )
 
-// MapOrderAnalyzer is the flow-sensitive companion to determinism's
-// syntactic map-range rule. Ranging over a Go map yields keys in a
-// deliberately randomized order; any value derived from that iteration
-// is tainted "unordered" and must not reach an order-sensitive sink —
-// a core.Result field, the experiment table emitters, or an fmt/writer
-// call — unless the taint is killed by a sort. Unlike the AST rule it
-// tracks the value through assignments, appends, string building and
-// branches, and it knows that sort.Strings(keys) actually cleanses keys.
+// MapOrderAnalyzer owns the map-iteration-order invariant. Ranging over
+// a Go map yields keys in a deliberately randomized order; any value
+// derived from that iteration is tainted "unordered" and must not reach
+// an order-sensitive sink — a core.Result field, the experiment table
+// emitters, an fmt/writer call, or, inside the simulation-critical
+// packages, a return — unless the taint is killed by a sort. The value
+// is tracked through assignments, appends, string building and
+// branches, and sort.Strings(keys) actually cleanses keys.
 //
 // Lattice: Store[token.Pos] mapping each tainted location to the
 // position of the map range that produced it (first range wins at joins,
 // for deterministic messages). Sanitizers: any call into sort or slices
 // whose name starts with "Sort" (plus sort.Strings/Ints/Float64s and the
 // *Stable/*Func variants) clears its argument and returns clean values.
-// Sinks are checked module-wide.
+// An integer fold (`+=`, `*=`, `|=`, `&=`, `^=`) is exact and
+// commutative, so it does not pass the rhs taint on; a float or string
+// fold does, since its result depends on the order of the terms.
+//
+// The emission sinks are checked module-wide. The return sink is scoped
+// to the simulation-critical packages: elsewhere (the lint dataflow
+// library's store copies, say) returning a map-derived value is routine
+// and order-free.
 var MapOrderAnalyzer = &Analyzer{
 	Name: "maporder",
-	Doc:  "map-iteration-ordered data must be sorted before reaching Result fields, experiment tables, or fmt/writer sinks",
+	Doc:  "map-iteration-ordered data must be sorted before reaching Result fields, experiment tables, fmt/writer sinks, or simulation-package returns",
 	Run:  runMapOrder,
 }
 
 func runMapOrder(pass *Pass) {
+	returns := underAny(pass.RelPath, simCritical)
 	for _, f := range pass.Files {
 		flow.FuncGraphs(f, func(_ *ast.FuncDecl, _ *ast.FuncLit, g *flow.Graph) {
-			mo := &mapOrderFunc{pass: pass}
+			mo := &mapOrderFunc{pass: pass, returns: returns}
 			l := flow.Lattice[flow.Store[token.Pos]]{
 				Init: flow.Store[token.Pos]{},
 				Join: func(a, b flow.Store[token.Pos]) flow.Store[token.Pos] {
@@ -54,6 +62,8 @@ func runMapOrder(pass *Pass) {
 
 type mapOrderFunc struct {
 	pass *Pass
+	// returns makes a return statement a sink.
+	returns bool
 	// reported dedups findings per sink call position: one call with two
 	// tainted arguments is one finding.
 	reported map[token.Pos]bool
@@ -105,13 +115,15 @@ func (mo *mapOrderFunc) transfer(n ast.Node, in flow.Store[token.Pos]) flow.Stor
 	case *ast.AssignStmt, *ast.DeclStmt:
 		// Compound ops (`s += x`) fold the rhs into the old value, so the
 		// lhs keeps any taint it already carried.
+		var tok token.Token
 		compound := false
 		if a, ok := n.(*ast.AssignStmt); ok {
-			compound = a.Tok != token.ASSIGN && a.Tok != token.DEFINE
+			tok = a.Tok
+			compound = tok != token.ASSIGN && tok != token.DEFINE
 		}
 		for _, as := range flow.Assignments(n) {
 			var taint token.Pos
-			if as.Rhs != nil {
+			if as.Rhs != nil && !mo.orderFreeFold(tok, as.Lhs) {
 				taint = mo.eval(as.Rhs, out)
 			}
 			if r, ok := flow.RefOf(mo.pass.Info, as.Lhs); ok {
@@ -139,6 +151,19 @@ func (mo *mapOrderFunc) transfer(n ast.Node, in flow.Store[token.Pos]) flow.Stor
 		}
 	}
 	return out
+}
+
+// orderFreeFold reports whether `lhs tok= rhs` is an integer fold whose
+// final value does not depend on the order of the terms.
+func (mo *mapOrderFunc) orderFreeFold(tok token.Token, lhs ast.Expr) bool {
+	switch tok {
+	case token.ADD_ASSIGN, token.MUL_ASSIGN, token.OR_ASSIGN, token.AND_ASSIGN, token.XOR_ASSIGN:
+		if t := mo.pass.Info.TypeOf(lhs); t != nil {
+			b, ok := t.Underlying().(*types.Basic)
+			return ok && b.Info()&types.IsInteger != 0
+		}
+	}
+	return false
 }
 
 // indexBase resolves `xs[i]` (or `(*p)[i]`) to the Ref of xs.
@@ -266,8 +291,18 @@ func (mo *mapOrderFunc) visit(n ast.Node, before flow.Store[token.Pos]) {
 		mo.reported = make(map[token.Pos]bool)
 	}
 
-	// Sink 1: assignments into core.Result (field or whole struct).
+	// Sink 1: assignments into core.Result (field or whole struct), and
+	// returns where they are sinks.
 	switch st := n.(type) {
+	case *ast.ReturnStmt:
+		if mo.returns {
+			for _, e := range st.Results {
+				if p := mo.eval(e, before); p.IsValid() {
+					mo.report(st.Pos(), "return", p)
+					break
+				}
+			}
+		}
 	case *ast.AssignStmt, *ast.DeclStmt:
 		for _, as := range flow.Assignments(st) {
 			if as.Rhs == nil {

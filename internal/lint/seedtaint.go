@@ -16,10 +16,11 @@ import (
 // through locals, struct fields, or same-package helper returns.
 //
 // Lattice: a bitmask per location. seedBit marks values derived from the
-// seed plane; wallBit marks values derived from package time; unknownBit
-// marks everything whose provenance cannot be traced. Parameters carry
-// per-parameter bits so that bounded same-package function summaries can
-// substitute caller arguments at call sites.
+// seed plane; unknownBit marks everything whose provenance cannot be
+// traced, a wall-clock read included (the clock read itself is
+// determinism's finding). Parameters carry per-parameter bits so that
+// bounded same-package function summaries can substitute caller
+// arguments at call sites.
 //
 // Scope: the simulation-critical packages, minus internal/sim itself
 // (the substream derivations live there).
@@ -31,7 +32,6 @@ var SeedTaintAnalyzer = &Analyzer{
 
 const (
 	seedBit uint64 = 1 << iota
-	wallBit
 	unknownBit
 	paramBit0 // first of up to 32 per-parameter bits
 )
@@ -350,8 +350,8 @@ func (st *seedTaintPkg) eval(e ast.Expr, s flow.Store[uint64]) uint64 {
 
 // callSummary evaluates a call's per-result taint, or nil when the
 // callee has no usable summary. Handles: conversions, sim substream
-// derivations (seed-producing), package time (wall-producing), and
-// same-package function summaries with argument substitution.
+// derivations (seed-producing), and same-package function summaries
+// with argument substitution.
 func (st *seedTaintPkg) callSummary(call *ast.CallExpr, s flow.Store[uint64]) []uint64 {
 	// Type conversion: taint passes through unchanged.
 	if fn := unparen(call.Fun); len(call.Args) == 1 {
@@ -364,9 +364,6 @@ func (st *seedTaintPkg) callSummary(call *ast.CallExpr, s flow.Store[uint64]) []
 		return nil
 	}
 	if pkg := callee.Pkg(); pkg != nil {
-		if pkg.Path() == "time" {
-			return []uint64{wallBit}
-		}
 		if isSimPkgPath(pkg.Path()) {
 			switch callee.Name() {
 			case "StreamSeed", "SplitMix":
@@ -381,7 +378,7 @@ func (st *seedTaintPkg) callSummary(call *ast.CallExpr, s flow.Store[uint64]) []
 		// Substitute caller arguments for parameter bits.
 		out := make([]uint64, len(slots))
 		for i, bits := range slots {
-			v := bits & (seedBit | wallBit | unknownBit)
+			v := bits & (seedBit | unknownBit)
 			for p := 0; p < maxParamBits; p++ {
 				if bits&paramBit(p) == 0 {
 					continue
@@ -447,7 +444,7 @@ func (st *seedTaintPkg) checkFunc(fd *ast.FuncDecl) {
 					continue
 				}
 				bits := st.eval(as.Rhs, before)
-				if bits&(wallBit|unknownBit) != 0 {
+				if bits&unknownBit != 0 {
 					st.reportBadSeed(as.Rhs.Pos(), "field "+sel.Sel.Name, bits)
 				}
 			}
@@ -471,8 +468,6 @@ func rngCtorName(info *types.Info, call *ast.CallExpr) (string, bool) {
 
 func (st *seedTaintPkg) reportBadSeed(pos token.Pos, site string, bits uint64) {
 	switch {
-	case bits&wallBit != 0:
-		st.pass.Reportf(pos, "seed for %s derives from the wall clock (package time); seeds must be data-flow-reachable from Config.Seed or sim.StreamSeed so runs replay exactly", site)
 	case bits&unknownBit != 0:
 		st.pass.Reportf(pos, "seed for %s is not data-flow-reachable from the seed plane (Config.Seed, a seed-named parameter, or a sim.StreamSeed/SplitMix derivation)", site)
 	case bits&^seedBit != 0:

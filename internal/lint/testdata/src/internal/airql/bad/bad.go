@@ -1,7 +1,7 @@
 // Package bad proves the scenario compiler sits inside the determinism
-// and rngdiscipline scopes: a wall-clock read while assembling a table,
-// or an RNG built outside the sanctioned constructors, would break the
-// byte-identical regeneration gate.
+// scope, construction rule included: a wall-clock read while assembling
+// a table, or an RNG built outside the sanctioned constructors, would
+// break the byte-identical regeneration gate.
 package bad
 
 import (

@@ -1,7 +1,7 @@
 // Package seedgood launders its seed through locals, struct fields and
-// a same-package helper return — patterns the call-site-literal
-// rngdiscipline check cannot follow but that seedtaint's dataflow
-// traces back to the seed plane, so nothing here is a finding.
+// a same-package helper return — patterns a call-site-literal check
+// cannot follow but that seedtaint's dataflow traces back to the seed
+// plane, so nothing here is a finding.
 package seedgood
 
 import "example.com/airlintfix/internal/sim"

@@ -1,20 +1,15 @@
-// Package rngbad violates the substream discipline every way the
-// analyzer can see inside one package: direct math/rand construction,
-// a computed label, an empty label, and a label reused within the
-// package.
+// Package rngbad builds a math/rand source directly inside a
+// simulation-critical package. The seed is a proper parameter, yet the
+// source bypasses the SplitMix decorrelation of sim.NewRNG,
+// sim.NewShardRNG and sim.StreamSeed, so determinism flags the
+// construction. (StreamSeed label misuse is not an airlint rule: the
+// sim package's TestStreamSeedLabelsUnique scans every call site.)
 package rngbad
 
-import (
-	"math/rand"
+import "math/rand"
 
-	"example.com/airlintfix/internal/sim"
-)
-
-func Streams(seed int64, shard int, name string) int64 {
-	src := rand.NewSource(seed)            // line 14: direct construction
-	a := sim.StreamSeed(seed, shard, name) // line 15: computed label
-	b := sim.StreamSeed(seed, shard, "")   // line 16: empty label
-	c := sim.StreamSeed(seed, shard, "faults")
-	d := sim.StreamSeed(seed, shard, "faults") // line 18: duplicate label
-	return src.Int63() + a + b + c + d
+// Draw takes its seed correctly but constructs its own source.
+func Draw(seed int64) int64 {
+	src := rand.NewSource(seed) // line 13: direct construction
+	return src.Int63()
 }

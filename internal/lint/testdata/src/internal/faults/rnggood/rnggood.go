@@ -1,5 +1,5 @@
-// Package rnggood derives every substream through the sanctioned
-// constructors with distinct compile-time labels.
+// Package rnggood derives every substream through the sanctioned sim
+// constructors, which is not direct math/rand construction.
 package rnggood
 
 import "example.com/airlintfix/internal/sim"

@@ -1,7 +1,7 @@
 // Package seedclock seeds each sanctioned RNG constructor straight from
-// the wall clock, inside the call's own argument list. seedtaint traces
-// every one of these seeds to package time; determinism co-reports the
-// raw clock reads.
+// the wall clock, inside the call's own argument list. seedtaint finds
+// no path from any of these seeds back to the seed plane; determinism
+// co-reports the raw clock reads.
 package seedclock
 
 import (

@@ -1,5 +1,5 @@
-// Package bad trips every determinism rule: wall-clock reads, global
-// math/rand, and a map iteration whose order leaks into a returned slice.
+// Package bad trips determinism (wall-clock reads, global math/rand) and
+// maporder (a map iteration whose order leaks into a returned slice).
 package bad
 
 import (
@@ -24,5 +24,5 @@ func Keys(m map[string]int) []string {
 	for k := range m { // line 24: unsorted map iteration feeding a slice
 		out = append(out, k)
 	}
-	return out
+	return out // line 27: the unsorted slice is returned
 }

@@ -1,6 +1,6 @@
-// Package good exercises the determinism analyzer's negative cases:
-// seeded randomness, sorted map iteration, and map loops whose order
-// cannot escape.
+// Package good exercises the determinism and maporder negative cases:
+// seeded randomness where internal/sim owns it, sorted map iteration,
+// and an integer fold whose result is the same in any order.
 package good
 
 import (
@@ -30,7 +30,7 @@ func SortedKeys(m map[string]int) []string {
 	return keys
 }
 
-// Order-insensitive accumulation does not feed a slice or return.
+// An integer sum is exact in any order, so returning it is fine.
 func Total(m map[string]int) int {
 	sum := 0
 	for _, v := range m {

@@ -1,6 +1,6 @@
 // Package sim mirrors the production byte-clock for fixtures: the unit
-// analyzers recognize sim.Time by its package-path suffix, and
-// rngdiscipline recognizes the sanctioned RNG constructors the same way.
+// analyzers recognize sim.Time by its package-path suffix, and seedtaint
+// recognizes the sanctioned RNG constructors the same way.
 package sim
 
 // Time is virtual time measured in bytes broadcast.

@@ -1,5 +1,5 @@
 // Package other sits outside the floatcompare scope; exact float
-// equality is permitted here (and the map-order rule does not apply).
+// equality is permitted here (and maporder's return sink does not apply).
 package other
 
 func Exact(a, b float64) bool {
