@@ -76,7 +76,6 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	if model != faults.ModelNone {
-		cfg.Chaos = aircast.ChaosOn
 		cfg.ChaosFaults = faults.FromRate(model, *chaosRate)
 		cfg.ChaosSeed = *chaosSeed
 	}

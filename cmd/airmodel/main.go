@@ -1,11 +1,18 @@
 // Command airmodel prints the paper's analytical model curves (§2) without
 // running any simulation: access time and tuning time in bytes for each
-// scheme over a record-count sweep. Useful for sanity-checking simulation
-// output and for exploring parameter choices instantly.
+// scheme over a record-count sweep. Each point builds the real broadcast
+// and evaluates airql.Analytic on its layout, so the curves are the (A)
+// columns of the Figure 4 tables. Useful for sanity-checking simulation
+// output and for exploring parameter choices quickly.
 //
-// Example:
+// Examples:
 //
 //	airmodel -from 7000 -to 34000 -step 4500
+//	airmodel -set data.keybytes=40 -set hashing.load=2
+//
+// Each -set knob=value is a setting from airql's knob table (DESIGN.md
+// §11), as in airsim. The fault.* knobs are refused: the closed forms
+// assume a perfect channel.
 package main
 
 import (
@@ -13,11 +20,17 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"text/tabwriter"
 
-	"github.com/airindex/airindex/internal/analytical"
-	"github.com/airindex/airindex/internal/units"
-	"github.com/airindex/airindex/internal/wire"
+	"github.com/airindex/airindex/internal/airql"
+	"github.com/airindex/airindex/internal/core"
+	"github.com/airindex/airindex/internal/datagen"
+	"github.com/airindex/airindex/internal/schemes/dist"
+	"github.com/airindex/airindex/internal/schemes/flat"
+	"github.com/airindex/airindex/internal/schemes/hashing"
+	"github.com/airindex/airindex/internal/schemes/onem"
+	"github.com/airindex/airindex/internal/schemes/signature"
 )
 
 func main() {
@@ -27,63 +40,60 @@ func main() {
 	}
 }
 
+// columns are the printed schemes, in header order.
+var columns = []string{flat.Name, dist.Name, onem.Name, hashing.Name, signature.Name}
+
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("airmodel", flag.ContinueOnError)
 	from := fs.Int("from", 7000, "sweep start (records)")
 	to := fs.Int("to", 34000, "sweep end (records)")
 	step := fs.Int("step", 4500, "sweep step")
-	recordSize := fs.Int("record-size", 500, "record bytes")
-	keySize := fs.Int("key-size", 25, "key bytes")
-	fanout := fs.Int("fanout", 12, "tree fanout n (0 = derive from record/key geometry)")
-	repl := fs.Int("r", 2, "distributed indexing replicated levels")
-	load := fs.Float64("load", 3, "hashing load factor Nr/Na")
-	sigBytes := fs.Int("sig-bytes", 16, "signature bytes")
+	var sets []string
+	fs.Func("set", "knob=value for every built broadcast, e.g. data.keybytes=40 or hashing.load=2 (repeatable; airql's knob table, DESIGN.md §11; fault.* refused)", func(v string) error {
+		sets = append(sets, v)
+		return nil
+	})
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *from <= 0 || *to < *from || *step <= 0 {
 		return fmt.Errorf("invalid sweep %d..%d step %d", *from, *to, *step)
 	}
-
-	n := *fanout
-	if n == 0 {
-		// Mirror the treeidx layout: entries of key+offset bytes in the
-		// space left after fixed index-bucket fields.
-		n = (*recordSize - *keySize - 76) / (*keySize + 8)
-		if n < 2 {
-			return fmt.Errorf("key size %d too large for record size %d", *keySize, *recordSize)
+	settings, err := airql.ParseSettings(sets)
+	if err != nil {
+		return err
+	}
+	for _, s := range settings {
+		if strings.HasPrefix(s.Knob(), "fault.") {
+			return fmt.Errorf("-set %s: the closed forms assume a perfect channel", s.Knob())
 		}
 	}
-	dataBucket := float64(wire.HeaderSize + units.Bytes(*recordSize))
-	treeBucket := float64(wire.HeaderSize + wire.OffsetSize + units.Bytes(*recordSize))
-	hashBucket := float64(wire.HeaderSize + 13 + units.Bytes(*recordSize))
-	sigBucket := float64(wire.HeaderSize + units.Bytes(*sigBytes))
 
 	w := tabwriter.NewWriter(out, 2, 0, 2, ' ', tabwriter.AlignRight)
 	fmt.Fprintln(w, "records\tflat At\tflat Tt\tdist At\tdist Tt\t(1,m) At\t(1,m) Tt\thash At\thash Tt\tsig At\tsig Tt\t")
 	for nr := *from; nr <= *to; nr += *step {
-		k := analytical.LevelsFor(n, nr)
-		tp := analytical.TreeParams{Fanout: n, Levels: k, Replicated: *repl, Records: nr}
-		m := analytical.OneMOptimal(tp)
-		hp := analytical.HashParams{
-			Allocated: float64(nr) / *load,
-			Colliding: float64(nr) * (1 - 1 / *load),
-			Records:   float64(nr),
+		fmt.Fprintf(w, "%d\t", nr)
+		var ds *datagen.Dataset
+		for _, scheme := range columns {
+			cfg := core.DefaultConfig(scheme, nr)
+			airql.ApplySettings(&cfg, settings)
+			if err := cfg.Validate(); err != nil {
+				return err
+			}
+			if ds == nil {
+				// The data geometry is scheme-independent: one dataset per row.
+				if ds, err = datagen.Generate(cfg.Data); err != nil {
+					return err
+				}
+			}
+			bc, err := core.BuildBroadcast(ds, cfg)
+			if err != nil {
+				return err
+			}
+			at, tt := airql.Analytic(cfg, &core.Result{CycleBytes: bc.Channel().CycleLen(), Params: bc.Params()})
+			fmt.Fprintf(w, "%.0f\t%.0f\t", at, tt)
 		}
-		fd := analytical.SignatureExpectedFalseDrops(nr, *sigBytes, 8, 5)
-		fmt.Fprintf(w, "%d\t%.0f\t%.0f\t%.0f\t%.0f\t%.0f\t%.0f\t%.0f\t%.0f\t%.0f\t%.0f\t\n",
-			nr,
-			analytical.FlatAccess(nr)*dataBucket,
-			analytical.FlatTuning(nr)*dataBucket,
-			analytical.DistAccess(tp)*treeBucket,
-			analytical.DistTuning(tp)*treeBucket,
-			analytical.OneMAccess(tp, m)*treeBucket,
-			analytical.OneMTuning(tp)*treeBucket,
-			analytical.HashingAccess(hp)*hashBucket,
-			analytical.HashingTuning(hp)*hashBucket,
-			analytical.SignatureAccess(nr, dataBucket, sigBucket),
-			analytical.SignatureTuning(nr, dataBucket, sigBucket, fd),
-		)
+		fmt.Fprintln(w)
 	}
 	return w.Flush()
 }

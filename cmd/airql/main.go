@@ -6,7 +6,7 @@
 //
 // Examples:
 //
-//	airql -run scenarios/fig4.airql     # compile, run, honour EMIT sinks
+//	airql scenarios/fig4.airql          # compile, run, honour EMIT sinks
 //	airql -check scenarios/*.airql      # compile only; report errors
 //	airql -list                         # list the embedded scenarios
 //	airql -fast -out /tmp fig5          # embedded script, fast profile
@@ -44,7 +44,6 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("airql", flag.ContinueOnError)
 	check := fs.Bool("check", false, "compile the scripts and report errors, but do not run them")
 	list := fs.Bool("list", false, "list the embedded scenario scripts and exit")
-	runMode := fs.Bool("run", false, "compile and run the scripts (the default mode)")
 	fast := fs.Bool("fast", false, "reduced workloads and relaxed stopping rule (selects the scripts' fast(...) variants)")
 	seed := fs.Int64("seed", 0, "seed override; wins over a script's RUN seed (0 = default)")
 	shards := fs.Int("shards", 0, "shards per simulation run; results depend on (seed, shards) only (0 = the script's RUN shards, else one request stream)")
@@ -68,9 +67,6 @@ func run(args []string, out io.Writer) error {
 	files := fs.Args()
 	if len(files) == 0 {
 		return fmt.Errorf("no scripts given; use -list for the embedded scenarios or pass *.airql paths")
-	}
-	if *check && *runMode {
-		return fmt.Errorf("-check and -run are mutually exclusive")
 	}
 	write, ok := printers[*printForm]
 	if !ok && *printForm != "" {

@@ -7,16 +7,18 @@
 // Examples:
 //
 //	airsim -scheme distributed -records 17500
-//	airsim -scheme hashing -records 34000 -load 3
-//	airsim -scheme signature -records 7000 -sig-bytes 8 -availability 0.5
+//	airsim -scheme hashing -records 34000 -set hashing.load=3
+//	airsim -scheme signature -records 7000 -set signature.sigbytes=8 -set availability=0.5
 //	airsim -scheme "(1,m)" -records 17500 -set multi.channels=4 -set multi.switchcost=1KiB
 //	airsim -scheme distributed -records 2000 -set fault.rate=0.3
 //
 // Each -set knob=value is a setting from airql's knob table (DESIGN.md
-// §11), applied after the flags above: the fault layer (fault.model,
-// fault.rate, fault.retries, fault.recovery), the one error layer; the
-// K-channel layer (multi.*); and the rest of the table bar scheme and
-// records. A fault.rate with no fault.model means the drop model.
+// §11) and the only spelling of that setting here: the data geometry
+// (data.*), the scheme parameters (dist.r, onem.m, hashing.load,
+// signature.*), availability, the fault layer (fault.model, fault.rate,
+// fault.retries, fault.recovery), the K-channel layer (multi.*), and
+// the rest of the table bar scheme and records, which have their own
+// flags. A fault.rate with no fault.model means the drop model.
 package main
 
 import (
@@ -42,9 +44,6 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("airsim", flag.ContinueOnError)
 	scheme := fs.String("scheme", "distributed", "access method: "+strings.Join(core.SchemeNames(), ", "))
 	records := fs.Int("records", 17500, "number of broadcast records")
-	recordSize := fs.Int("record-size", 500, "record payload bytes (includes the key)")
-	keySize := fs.Int("key-size", 25, "encoded key bytes")
-	availability := fs.Float64("availability", 1, "probability a request's key is broadcast [0,1]")
 	seed := fs.Int64("seed", 42, "random seed")
 	shards := fs.Int("shards", 1, "request-stream shards; the result depends on (seed, shards) only")
 	accuracy := fs.Float64("accuracy", 0.01, "confidence accuracy H/Y stopping threshold")
@@ -53,22 +52,15 @@ func run(args []string, out io.Writer) error {
 	round := fs.Int("round", 500, "requests per accuracy-control round")
 	maxReq := fs.Int("max-requests", 100000, "request cap")
 	var sets []string
-	fs.Func("set", "session-wide knob=value, e.g. fault.rate=0.01 or multi.channels=4 (repeatable; airql's knob table)", func(v string) error {
+	fs.Func("set", "session-wide knob=value, e.g. data.recordbytes=1000, fault.rate=0.01 or multi.channels=4 (repeatable; airql's knob table, DESIGN.md §11)", func(v string) error {
 		sets = append(sets, v)
 		return nil
 	})
-	m := fs.Int("m", 0, "(1,m) indexing: tree copies per cycle (0 = optimal)")
-	r := fs.Int("r", -1, "distributed indexing: replicated levels (-1 = optimal)")
-	load := fs.Float64("load", 3, "hashing: target records per hash position")
-	sigBytes := fs.Int("sig-bytes", 16, "signature schemes: record signature bytes")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
 	cfg := core.DefaultConfig(*scheme, *records)
-	cfg.Data.RecordSize = *recordSize
-	cfg.Data.KeySize = *keySize
-	cfg.Availability = *availability
 	cfg.Seed = *seed
 	cfg.Shards = *shards
 	cfg.Accuracy = *accuracy
@@ -76,10 +68,6 @@ func run(args []string, out io.Writer) error {
 	cfg.MinRequests = *minReq
 	cfg.RoundSize = *round
 	cfg.MaxRequests = *maxReq
-	cfg.Onem.M = *m
-	cfg.Dist.R = *r
-	cfg.Hashing.LoadFactor = *load
-	cfg.Signature.SigBytes = *sigBytes
 	settings, err := airql.ParseSettings(sets)
 	if err != nil {
 		return err
@@ -92,7 +80,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	fmt.Fprintf(out, "scheme            %s\n", res.Scheme)
-	fmt.Fprintf(out, "records           %d (record %dB, key %dB)\n", *records, *recordSize, *keySize)
+	fmt.Fprintf(out, "records           %d (record %dB, key %dB)\n", cfg.Data.NumRecords, cfg.Data.RecordSize, cfg.Data.KeySize)
 	fmt.Fprintf(out, "cycle             %d bytes\n", res.CycleBytes)
 	keys := make([]string, 0, len(res.Params))
 	for k := range res.Params {
@@ -125,7 +113,7 @@ func run(args []string, out io.Writer) error {
 	}
 	if cfg.Faults.Enabled() {
 		fmt.Fprintf(out, "faults            model=%s rate=%g recovery=%s retries=%d\n",
-			cfg.Faults.Model, cfg.Faults.Rate(), cfg.Faults.Recovery, cfg.Faults.MaxRetries)
+			cfg.Faults.Model, cfg.Faults.Rate, cfg.Faults.Recovery, cfg.Faults.MaxRetries)
 		fmt.Fprintf(out, "wasted tuning     %d bytes (%.1f per request)\n",
 			res.WastedBytes, float64(res.WastedBytes)/float64(res.Requests))
 		fmt.Fprintf(out, "unrecovered       %d requests\n", res.Unrecovered)

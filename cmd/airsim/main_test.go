@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"github.com/airindex/airindex/internal/airql"
 )
 
 func TestRunSmallSimulation(t *testing.T) {
@@ -18,6 +20,40 @@ func TestRunSmallSimulation(t *testing.T) {
 	for _, want := range []string{"scheme            distributed", "access time", "tuning time", "found/not found"} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("output missing %q:\n%s", want, out.String())
+		}
+	}
+}
+
+// TestRunHeaderEchoesSettings: the header reports the data geometry the
+// run used, after -set, not flag defaults.
+func TestRunHeaderEchoesSettings(t *testing.T) {
+	var out bytes.Buffer
+	err := run([]string{
+		"-scheme", "flat", "-records", "300", "-set", "data.recordbytes=1000", "-set", "data.keybytes=40",
+		"-min-requests", "300", "-max-requests", "600", "-accuracy", "0.1", "-round", "150",
+	}, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"records           300 (record 1000B, key 40B)", "param bucket_size  1005"} {
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("output missing %q:\n%s", want, out.String())
+		}
+	}
+}
+
+// TestNoFlagShadowsKnob: -set is the only spelling of a knob; no flag
+// may share a knob's name except the per-run scheme and records.
+func TestNoFlagShadowsKnob(t *testing.T) {
+	for _, name := range airql.KnobNames() {
+		if name == "scheme" || name == "records" {
+			continue
+		}
+		var out bytes.Buffer
+		// -records=0 makes a shadowing flag fail fast instead of running.
+		err := run([]string{"-records=0", "-" + name + "=1"}, &out)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("flag -%s: got %v, want it undefined (use -set %s=...)", name, err, name)
 		}
 	}
 }

@@ -75,43 +75,6 @@ func ParseTransport(s string) (TransportKind, error) {
 	}
 }
 
-// ChaosKind switches the transport chaos proxy on or off. Like
-// TransportKind it is a closed enum under the exhaustive analyzer.
-type ChaosKind uint8
-
-const (
-	// ChaosOff (the zero value) transmits every datagram verbatim.
-	ChaosOff ChaosKind = iota
-	// ChaosOn routes every datagram through the faults-driven proxy:
-	// ModelDrop discards datagrams, the bit-level models (iid, ge) flip
-	// one deterministically chosen bit so receivers see a CRC failure.
-	ChaosOn
-)
-
-// String returns the chaos mode's CLI name.
-func (k ChaosKind) String() string {
-	switch k {
-	case ChaosOff:
-		return "off"
-	case ChaosOn:
-		return "on"
-	default:
-		return fmt.Sprintf("chaos(%d)", uint8(k))
-	}
-}
-
-// ParseChaos maps a CLI name to its ChaosKind.
-func ParseChaos(s string) (ChaosKind, error) {
-	switch s {
-	case "", "off":
-		return ChaosOff, nil
-	case "on":
-		return ChaosOn, nil
-	default:
-		return ChaosOff, fmt.Errorf("aircast: unknown chaos mode %q (have off, on)", s)
-	}
-}
-
 // Config parameterizes the daemon. The zero value serves the in-memory
 // transport only, unpaced, with chaos off.
 type Config struct {
@@ -136,10 +99,11 @@ type Config struct {
 	// 0 selects DefaultReaderQueue.
 	ReaderQueue int
 
-	// Chaos switches the transport chaos proxy; ChaosFaults selects the
-	// deterministic error model and ChaosSeed its substream, exactly as
-	// in the simulator's unreliable-channel layer.
-	Chaos       ChaosKind
+	// ChaosFaults drives the transport chaos proxy, which runs exactly
+	// when ChaosFaults.Enabled(): ModelDrop discards datagrams, the
+	// bit-level models (iid, ge) flip one deterministically chosen bit so
+	// receivers see a CRC failure. ChaosSeed selects its substream,
+	// exactly as in the simulator's unreliable-channel layer.
 	ChaosFaults faults.Config
 	ChaosSeed   int64
 }
@@ -164,16 +128,7 @@ func (c Config) Validate() error {
 	if c.ReaderQueue < 0 {
 		return fmt.Errorf("aircast: reader queue %d must be non-negative", c.ReaderQueue)
 	}
-	switch c.Chaos {
-	case ChaosOff:
-	case ChaosOn:
-		if err := c.ChaosFaults.Validate(); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("aircast: unknown chaos mode %d", c.Chaos)
-	}
-	return nil
+	return c.ChaosFaults.Validate()
 }
 
 // Program is the published service contract a client knows before tuning

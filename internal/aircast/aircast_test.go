@@ -24,18 +24,6 @@ func TestTransportKindRoundTrip(t *testing.T) {
 	}
 }
 
-func TestChaosKindRoundTrip(t *testing.T) {
-	for _, k := range []ChaosKind{ChaosOff, ChaosOn} {
-		back, err := ParseChaos(k.String())
-		if err != nil || back != k {
-			t.Fatalf("round trip %v: got %v, %v", k, back, err)
-		}
-	}
-	if _, err := ParseChaos("maybe"); err == nil {
-		t.Fatal("unknown chaos mode accepted")
-	}
-}
-
 func TestConfigValidate(t *testing.T) {
 	if err := (Config{}).Validate(); err != nil {
 		t.Fatalf("zero config invalid: %v", err)
@@ -46,11 +34,11 @@ func TestConfigValidate(t *testing.T) {
 	if err := (Config{ReaderQueue: -1}).Validate(); err == nil {
 		t.Fatal("negative queue accepted")
 	}
-	bad := Config{Chaos: ChaosOn, ChaosFaults: faults.Config{Model: faults.ModelDrop, DropRate: 2}}
+	bad := Config{ChaosFaults: faults.FromRate(faults.ModelDrop, 2)}
 	if err := bad.Validate(); err == nil {
 		t.Fatal("invalid chaos faults accepted")
 	}
-	ok := Config{Chaos: ChaosOn, ChaosFaults: faults.FromRate(faults.ModelDrop, 0.1)}
+	ok := Config{ChaosFaults: faults.FromRate(faults.ModelDrop, 0.1)}
 	if err := ok.Validate(); err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,6 @@ func TestE2EChaosInmemDropRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := aircast.Config{
-		Chaos:       aircast.ChaosOn,
 		ChaosFaults: faults.FromRate(faults.ModelDrop, 0.08),
 		ChaosSeed:   42,
 	}
@@ -88,7 +87,6 @@ func TestE2EChaosUDPRecovers(t *testing.T) {
 	cfg := aircast.Config{
 		UDPAddr:     rx.Addr(),
 		BytesPerSec: 4 << 20,
-		Chaos:       aircast.ChaosOn,
 		ChaosFaults: faults.FromRate(faults.ModelIID, 5e-5),
 		ChaosSeed:   7,
 	}

@@ -52,7 +52,7 @@ func NewServer(cfg Config, img *Image) (*Server, error) {
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
-	if cfg.Chaos == ChaosOn && cfg.ChaosFaults.Enabled() {
+	if cfg.ChaosFaults.Enabled() {
 		s.chaos = newChaosProxy(cfg.ChaosFaults, cfg.ChaosSeed)
 	}
 	return s, nil

@@ -110,6 +110,9 @@ type Setting struct {
 	val Scalar
 }
 
+// Knob returns the setting's canonical knob name.
+func (s Setting) Knob() string { return s.kn.name }
+
 // ParseSettings parses session-wide "knob=value" assignments, one per
 // -set flag, through the same knob table and value checks as a script's
 // SET. Diagnostics read -set:N:C, where N counts the -set flags from 1.

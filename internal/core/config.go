@@ -211,7 +211,7 @@ const (
 // path but never corrupts, so unbounded retries stay safe (the zero-rate
 // differential tests rely on exactly that).
 func faultsCanCorrupt(f faults.Config) bool {
-	return f.Enabled() && (f.Rate() > 0 || f.ErrGood > 0)
+	return f.Enabled() && f.Rate > 0
 }
 
 // serialScheme reports whether the named scheme finds records by serially

@@ -38,7 +38,7 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		func(c *Config) { c.Shards = -1 },
 		func(c *Config) { c.Shards = c.MaxRequests + 1 },
 		func(c *Config) { c.MinRequests = c.MaxRequests + 1 },
-		func(c *Config) { c.Faults = faults.Config{Model: faults.ModelDrop, DropRate: 1.5} },
+		func(c *Config) { c.Faults = faults.FromRate(faults.ModelDrop, 1.5) },
 		func(c *Config) { c.ZipfS = 1.5; c.Data.NumRecords = 1 },
 	}
 	// NaN fails every range check, and ±Inf is out of every range.
@@ -50,9 +50,7 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 			func(c *Config) { c.Accuracy = v },
 			func(c *Config) { c.ZipfS = v },
 			func(c *Config) { c.DozePowerRatio = v },
-			func(c *Config) { c.Faults = faults.Config{Model: faults.ModelDrop, DropRate: v} },
-			func(c *Config) { c.Faults = faults.Config{Model: faults.ModelIID, BER: v} },
-			func(c *Config) { c.Faults = faults.Config{Model: faults.ModelGilbertElliott, ErrBad: v} },
+			func(c *Config) { c.Faults = faults.FromRate(faults.ModelDrop, v) },
 		)
 	}
 	for i, mutate := range mutations {

@@ -86,7 +86,7 @@ func TestFaultDegradationMonotone(t *testing.T) {
 // counted as NotFound.
 func TestBoundedRetriesProduceUnrecoveredMisses(t *testing.T) {
 	cfg := smallConfig("distributed", 300)
-	cfg.Faults = faults.Config{Model: faults.ModelDrop, DropRate: 0.5, MaxRetries: 2}
+	cfg.Faults = faults.Config{Model: faults.ModelDrop, Rate: 0.5, MaxRetries: 2}
 	res, err := RunOne(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -231,7 +231,7 @@ func TestMultiValidation(t *testing.T) {
 	for _, fix := range []func(*Config){
 		func(c *Config) { c.Faults.MaxRetries = 3 },
 		func(c *Config) { c.Availability = 1 },
-		func(c *Config) { c.Faults.DropRate = 0 },
+		func(c *Config) { c.Faults.Rate = 0 },
 		func(c *Config) { c.Scheme = "distributed" },
 	} {
 		ok := cfg

@@ -20,7 +20,7 @@
 //     buckets are likelier casualties, as on a real link;
 //   - ModelGilbertElliott: the classic two-state burst model (Gilbert 1960,
 //     Elliott 1963): a hidden good/bad channel state evolves per read and
-//     each state corrupts with its own probability, clustering losses;
+//     only the bad state corrupts, clustering losses;
 //   - ModelDrop: whole-bucket drop with a flat per-read probability — the
 //     "error rate" axis of the degradation experiments.
 //
@@ -51,7 +51,7 @@ const (
 	// ModelGilbertElliott corrupts reads from a two-state (good/bad)
 	// Markov burst process.
 	ModelGilbertElliott
-	// ModelDrop drops each bucket read independently with DropRate.
+	// ModelDrop drops each bucket read independently with the Rate.
 	ModelDrop
 )
 
@@ -78,7 +78,7 @@ func ParseModel(s string) (ModelKind, error) {
 		return ModelNone, nil
 	case "iid":
 		return ModelIID, nil
-	case "ge", "gilbert-elliott":
+	case "ge":
 		return ModelGilbertElliott, nil
 	case "drop":
 		return ModelDrop, nil
@@ -127,25 +127,26 @@ func ParseRecovery(s string) (RecoveryKind, error) {
 	}
 }
 
+// Gilbert–Elliott burst geometry: per-read good->bad and bad->good
+// transition probabilities, giving mean bursts of four reads separated
+// by ~100-read quiet spells. The good state never corrupts; Config.Rate
+// is the bad state's per-read corruption probability.
+const (
+	geGoodToBad = 0.01
+	geBadToGood = 0.25
+)
+
 // Config parameterizes the unreliable channel and the client recovery
 // policy. The zero value disables fault injection entirely.
 type Config struct {
 	// Model selects the error process; ModelNone disables injection.
 	Model ModelKind
 
-	// BER is ModelIID's bit error rate in [0,1).
-	BER float64
-
-	// DropRate is ModelDrop's per-read drop probability in [0,1).
-	DropRate float64
-
-	// GoodToBad and BadToGood are ModelGilbertElliott's per-read state
-	// transition probabilities; ErrGood and ErrBad are the per-read
-	// corruption probabilities inside each state. The defaults chosen by
-	// FromRate (GoodToBad 0.01, BadToGood 0.25) give mean bursts of four
-	// reads separated by ~100-read quiet spells.
-	GoodToBad, BadToGood float64
-	ErrGood, ErrBad      float64
+	// Rate is the model's headline error rate in [0,1): the bit error
+	// rate for ModelIID, the bad-state per-read corruption probability
+	// for ModelGilbertElliott, the per-read drop probability for
+	// ModelDrop.
+	Rate float64
 
 	// Recovery selects the client's re-tune policy after a corrupted read.
 	Recovery RecoveryKind
@@ -159,50 +160,11 @@ type Config struct {
 // Enabled reports whether fault injection is active.
 func (c Config) Enabled() bool { return c.Model != ModelNone }
 
-// Rate returns the model's headline error rate, for experiment labels.
-func (c Config) Rate() float64 {
-	switch c.Model {
-	case ModelNone:
-		return 0
-	case ModelIID:
-		return c.BER
-	case ModelGilbertElliott:
-		return c.ErrBad
-	case ModelDrop:
-		return c.DropRate
-	default:
-		return 0
-	}
-}
-
-// FromRate builds a Config for the named model with one headline rate:
-// the BER for ModelIID, the drop probability for ModelDrop, and the
-// bad-state corruption probability (with default burst geometry) for
-// ModelGilbertElliott.
-func FromRate(model ModelKind, rate float64) Config {
-	switch model {
-	case ModelNone:
-		return Config{}
-	case ModelIID:
-		return Config{Model: ModelIID, BER: rate}
-	case ModelGilbertElliott:
-		return Config{Model: ModelGilbertElliott, GoodToBad: 0.01, BadToGood: 0.25, ErrBad: rate}
-	case ModelDrop:
-		return Config{Model: ModelDrop, DropRate: rate}
-	default:
-		return Config{}
-	}
-}
+// FromRate builds a Config for the named model with one headline rate.
+func FromRate(model ModelKind, rate float64) Config { return Config{Model: model, Rate: rate} }
 
 // Validate reports whether the configuration is runnable.
 func (c Config) Validate() error {
-	// Every range check is written so that NaN fails it.
-	inUnit := func(name string, v float64) error {
-		if !(0 <= v && v <= 1) {
-			return fmt.Errorf("faults: %s %v outside [0,1]", name, v)
-		}
-		return nil
-	}
 	switch c.Model {
 	case ModelNone, ModelIID, ModelGilbertElliott, ModelDrop:
 	default:
@@ -213,24 +175,9 @@ func (c Config) Validate() error {
 	default:
 		return fmt.Errorf("faults: unknown recovery kind %d", c.Recovery)
 	}
-	if !(0 <= c.BER && c.BER < 1) {
-		return fmt.Errorf("faults: bit error rate %v outside [0,1)", c.BER)
-	}
-	if !(0 <= c.DropRate && c.DropRate < 1) {
-		return fmt.Errorf("faults: drop rate %v outside [0,1)", c.DropRate)
-	}
-	for _, p := range []struct {
-		name string
-		v    float64
-	}{
-		{"good->bad transition", c.GoodToBad},
-		{"bad->good transition", c.BadToGood},
-		{"good-state error rate", c.ErrGood},
-		{"bad-state error rate", c.ErrBad},
-	} {
-		if err := inUnit(p.name, p.v); err != nil {
-			return err
-		}
+	// Written so that NaN fails it.
+	if !(0 <= c.Rate && c.Rate < 1) {
+		return fmt.Errorf("faults: error rate %v outside [0,1)", c.Rate)
 	}
 	if c.MaxRetries < 0 {
 		return fmt.Errorf("faults: max retries %d must be non-negative", c.MaxRetries)
@@ -296,12 +243,7 @@ func (in *Injector) StartRequest() {
 	if in.cfg.Model != ModelGilbertElliott {
 		return
 	}
-	denom := in.cfg.GoodToBad + in.cfg.BadToGood
-	if denom <= 0 {
-		in.bad = false
-		return
-	}
-	in.bad = in.uniform(^uint64(0), 2) < in.cfg.GoodToBad/denom
+	in.bad = in.uniform(^uint64(0), 2) < geGoodToBad/(geGoodToBad+geBadToGood)
 }
 
 // MangleCopy returns a copy of an encoded (typically wire.Seal-ed) frame
@@ -331,38 +273,34 @@ func (in *Injector) Corrupt(probe int, size units.ByteCount) bool {
 	case ModelNone:
 		return false
 	case ModelIID:
-		if in.cfg.BER <= 0 {
+		if in.cfg.Rate <= 0 {
 			return false
 		}
 		// Per-bucket failure probability implied by the bit error rate:
 		// 1-(1-BER)^bits, computed stably in log space.
 		bits := 8 * float64(size)
-		pb := -math.Expm1(bits * math.Log1p(-in.cfg.BER))
+		pb := -math.Expm1(bits * math.Log1p(-in.cfg.Rate))
 		return in.uniform(p, 1) < pb
 	case ModelGilbertElliott:
-		// Evolve the channel state, then corrupt by the new state's rate.
+		// Evolve the channel state; only the bad state corrupts.
 		if in.bad {
-			if in.uniform(p, 0) < in.cfg.BadToGood {
+			if in.uniform(p, 0) < geBadToGood {
 				in.bad = false
 			}
 		} else {
-			if in.uniform(p, 0) < in.cfg.GoodToBad {
+			if in.uniform(p, 0) < geGoodToBad {
 				in.bad = true
 			}
 		}
-		rate := in.cfg.ErrGood
-		if in.bad {
-			rate = in.cfg.ErrBad
-		}
-		if rate <= 0 {
+		if !in.bad || in.cfg.Rate <= 0 {
 			return false
 		}
-		return in.uniform(p, 1) < rate
+		return in.uniform(p, 1) < in.cfg.Rate
 	case ModelDrop:
-		if in.cfg.DropRate <= 0 {
+		if in.cfg.Rate <= 0 {
 			return false
 		}
-		return in.uniform(p, 1) < in.cfg.DropRate
+		return in.uniform(p, 1) < in.cfg.Rate
 	default:
 		return false
 	}

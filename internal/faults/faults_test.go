@@ -21,9 +21,9 @@ func decisions(in *Injector, requests, probes int, size units.ByteCount) []bool 
 func TestZeroConfigNeverCorrupts(t *testing.T) {
 	cfgs := []Config{
 		{},
-		{Model: ModelIID},
-		{Model: ModelDrop},
-		{Model: ModelGilbertElliott, GoodToBad: 0.5, BadToGood: 0.5},
+		FromRate(ModelIID, 0),
+		FromRate(ModelDrop, 0),
+		FromRate(ModelGilbertElliott, 0),
 	}
 	for _, cfg := range cfgs {
 		if cfg.Model != ModelNone && !cfg.Enabled() {
@@ -104,11 +104,11 @@ func TestIIDSizeDerived(t *testing.T) {
 	}
 }
 
-// TestGilbertElliottBursts: with a sticky bad state and ErrBad=1, ErrGood=0,
-// corruptions must arrive in runs longer than i.i.d. coin flips would give.
+// TestGilbertElliottBursts: under the fixed burst geometry, with a high
+// bad-state rate and a clean good state, corruptions must arrive in runs
+// longer than i.i.d. coin flips would give.
 func TestGilbertElliottBursts(t *testing.T) {
-	cfg := Config{Model: ModelGilbertElliott, GoodToBad: 0.02, BadToGood: 0.2, ErrBad: 1}
-	in := New(cfg, 5, 0)
+	in := New(FromRate(ModelGilbertElliott, 0.9), 5, 0)
 	in.StartRequest()
 	total, corrupted, runs := 20000, 0, 0
 	prev := false
@@ -126,8 +126,9 @@ func TestGilbertElliottBursts(t *testing.T) {
 		t.Fatal("burst model produced no corruption")
 	}
 	meanRun := float64(corrupted) / float64(runs)
-	// Stationary bad-state dwell time is 1/BadToGood = 5 reads; i.i.d.
-	// corruption at the same marginal rate would give runs barely above 1.
+	// Bad-state dwell time is 1/geBadToGood = 4 reads, so a run continues
+	// with probability 0.75·0.9 and averages ~3 reads; i.i.d. corruption
+	// at the same marginal rate would give runs barely above 1.
 	if meanRun < 2 {
 		t.Fatalf("mean burst length %.2f; expected clustered losses (>= 2)", meanRun)
 	}
@@ -139,7 +140,7 @@ func TestValidate(t *testing.T) {
 		FromRate(ModelIID, 0.001),
 		FromRate(ModelGilbertElliott, 0.5),
 		FromRate(ModelDrop, 0.1),
-		{Model: ModelDrop, DropRate: 0.5, Recovery: RecoverNextCycle, MaxRetries: 8},
+		{Model: ModelDrop, Rate: 0.5, Recovery: RecoverNextCycle, MaxRetries: 8},
 	}
 	for _, cfg := range good {
 		if err := cfg.Validate(); err != nil {
@@ -147,11 +148,11 @@ func TestValidate(t *testing.T) {
 		}
 	}
 	bad := []Config{
-		{Model: ModelIID, BER: 1},
-		{Model: ModelIID, BER: -0.1},
-		{Model: ModelDrop, DropRate: 1.5},
-		{Model: ModelGilbertElliott, GoodToBad: 2},
-		{Model: ModelGilbertElliott, ErrBad: -1},
+		FromRate(ModelIID, 1),
+		FromRate(ModelIID, -0.1),
+		FromRate(ModelDrop, 1.5),
+		FromRate(ModelGilbertElliott, 1),
+		FromRate(ModelGilbertElliott, -1),
 		{Model: ModelKind(99)},
 		{Recovery: RecoveryKind(99)},
 		{MaxRetries: -1},
@@ -159,12 +160,9 @@ func TestValidate(t *testing.T) {
 	// NaN fails every range check, and ±Inf is out of every range.
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		bad = append(bad,
-			Config{Model: ModelIID, BER: v},
-			Config{Model: ModelDrop, DropRate: v},
-			Config{Model: ModelGilbertElliott, GoodToBad: v},
-			Config{Model: ModelGilbertElliott, BadToGood: v},
-			Config{Model: ModelGilbertElliott, ErrGood: v},
-			Config{Model: ModelGilbertElliott, ErrBad: v},
+			FromRate(ModelIID, v),
+			FromRate(ModelDrop, v),
+			FromRate(ModelGilbertElliott, v),
 		)
 	}
 	for _, cfg := range bad {
@@ -181,8 +179,10 @@ func TestParseAndString(t *testing.T) {
 			t.Errorf("ParseModel(%q) = %v, %v; want %v", k.String(), got, err, k)
 		}
 	}
-	if _, err := ParseModel("bogus"); err == nil {
-		t.Error("ParseModel(bogus) should fail")
+	for _, s := range []string{"bogus", "gilbert-elliott"} {
+		if _, err := ParseModel(s); err == nil {
+			t.Errorf("ParseModel(%q) should fail", s)
+		}
 	}
 	for _, k := range []RecoveryKind{RecoverRestart, RecoverNextCycle} {
 		got, err := ParseRecovery(k.String())
@@ -207,11 +207,11 @@ func TestFromRateHeadline(t *testing.T) {
 		if cfg.Model != k {
 			t.Errorf("FromRate(%v) model = %v", k, cfg.Model)
 		}
-		if cfg.Rate() != 0.05 {
-			t.Errorf("FromRate(%v).Rate() = %v, want 0.05", k, cfg.Rate())
+		if cfg.Rate != 0.05 {
+			t.Errorf("FromRate(%v).Rate = %v, want 0.05", k, cfg.Rate)
 		}
 	}
-	if cfg := FromRate(ModelNone, 0.5); cfg.Enabled() || cfg.Rate() != 0 {
+	if cfg := FromRate(ModelNone, 0.5); cfg.Enabled() {
 		t.Errorf("FromRate(ModelNone) should be disabled, got %+v", cfg)
 	}
 }

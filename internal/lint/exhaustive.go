@@ -11,8 +11,8 @@ import (
 // bucket-kind vocabularies grow:
 //
 //   - A switch over a "Kind" enum (wire.Kind, access.StepKind,
-//     faults.ModelKind, multichannel.PolicyKind, aircast.TransportKind,
-//     aircast.ChaosKind — any Kind-suffixed named type declared in
+//     faults.ModelKind, multichannel.PolicyKind, aircast.TransportKind
+//     — any Kind-suffixed named type declared in
 //     internal/wire, internal/access, internal/faults,
 //     internal/multichannel or internal/aircast) must either
 //     list every package-level constant of
