@@ -20,8 +20,9 @@ import (
 // Serial-scan schemes implement it with occurrence arithmetic over their
 // uniform-bucket cycles: a scan that Walk steps through in O(probes)
 // interface calls collapses to O(1) (flat) or O(log occurrences) (bdisk)
-// integer math, or to one pass over packed signature words (simple
-// signature), which is what lets a 10⁶-request run finish in seconds.
+// integer math, or to an AND-and-popcount over bit-sliced signature
+// columns (simple signature), which is what lets a 10⁶-request run
+// finish in seconds.
 // The capability is
 // only consulted on perfect single-channel runs; faults and
 // multichannel allocations always walk.

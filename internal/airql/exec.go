@@ -42,6 +42,47 @@ func Execute(prog *Program, opt Options) ([]*Table, error) {
 	if errs := Validate(prog); len(errs) > 0 {
 		return nil, errs
 	}
+	ex := newExecutor(prog, opt)
+	if ex.mode == ModeAttrQuery {
+		if err := ex.runAttrQuery(); err != nil {
+			return nil, err
+		}
+	} else {
+		cfgs, err := ex.pointConfigs()
+		if err != nil {
+			return nil, err
+		}
+		ex.cfgs = cfgs
+		results, err := runPoints(ex.opt, cfgs)
+		if err != nil {
+			return nil, err
+		}
+		ex.results = results
+	}
+
+	decls := prog.Tables
+	if len(decls) == 0 {
+		t, err := implicitTable(prog, opt.Fast)
+		if err != nil {
+			return nil, err
+		}
+		decls = []*TableDecl{t}
+	}
+	tables := make([]*Table, 0, len(decls))
+	for _, decl := range decls {
+		tb, err := ex.buildTable(decl)
+		if err != nil {
+			return nil, err
+		}
+		tables = append(tables, tb)
+	}
+	return tables, nil
+}
+
+// newExecutor merges the program's RUN settings into the session options
+// (a session seed or shard count wins) and resolves its axes under the
+// active profile.
+func newExecutor(prog *Program, opt Options) *executor {
 	mode := ModeSim
 	for _, r := range prog.Runs {
 		switch r.Key {
@@ -73,45 +114,20 @@ func Execute(prog *Program, opt Options) ([]*Table, error) {
 		ex.stride[i] = ex.total
 		ex.total *= len(ex.axes[i].vals)
 	}
+	return ex
+}
 
-	if mode == ModeAttrQuery {
-		if err := ex.runAttrQuery(); err != nil {
-			return nil, err
-		}
-	} else {
-		cfgs := make([]core.Config, ex.total)
-		for li := 0; li < ex.total; li++ {
-			cfg, err := ex.pointConfig(ex.indexOf(li))
-			if err != nil {
-				return nil, err
-			}
-			cfgs[li] = cfg
-		}
-		ex.cfgs = cfgs
-		results, err := runPoints(opt, cfgs)
+// pointConfigs returns every sweep point's config in linear-index order.
+func (ex *executor) pointConfigs() ([]core.Config, error) {
+	cfgs := make([]core.Config, ex.total)
+	for li := range cfgs {
+		cfg, err := ex.pointConfig(ex.indexOf(li))
 		if err != nil {
 			return nil, err
 		}
-		ex.results = results
+		cfgs[li] = cfg
 	}
-
-	decls := prog.Tables
-	if len(decls) == 0 {
-		t, err := implicitTable(prog, opt.Fast)
-		if err != nil {
-			return nil, err
-		}
-		decls = []*TableDecl{t}
-	}
-	tables := make([]*Table, 0, len(decls))
-	for _, decl := range decls {
-		tb, err := ex.buildTable(decl)
-		if err != nil {
-			return nil, err
-		}
-		tables = append(tables, tb)
-	}
-	return tables, nil
+	return cfgs, nil
 }
 
 // indexOf decodes a linear point index into per-axis indices.

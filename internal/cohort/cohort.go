@@ -14,7 +14,7 @@
 //   - ResolveLanes, when the broadcast implements access.Resolver:
 //     the whole walk collapses to closed-form arithmetic per lane
 //     (serial-scan schemes answer in O(1)–O(log) integer math, simple
-//     signature in one pass over its packed signature words);
+//     signature by ANDing and counting its bit-sliced signature columns);
 //   - AdvanceClean, the stepped kernel: access.Walk once per lane,
 //     driving the per-lane protocol state machines (the Clients column)
 //     with no closures or allocations on the hot path.

@@ -117,6 +117,24 @@ func TestRunEverySchemeConverges(t *testing.T) {
 	}
 }
 
+// TestNewOnRejectsForeignDataset: a simulator built over a dataset must
+// run on exactly the data its config describes.
+func TestNewOnRejectsForeignDataset(t *testing.T) {
+	cfg := smallConfig("flat", 300)
+	ds, err := datagen.Generate(cfg.Data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewOn(ds, cfg); err != nil {
+		t.Fatalf("NewOn over the config's own dataset: %v", err)
+	}
+	other := cfg
+	other.Data.Seed++
+	if _, err := NewOn(ds, other); err == nil {
+		t.Fatal("NewOn accepted a dataset generated from another data config")
+	}
+}
+
 func TestRunDeterministicForSeed(t *testing.T) {
 	cfg := smallConfig("distributed", 300)
 	a, err := RunOne(cfg)

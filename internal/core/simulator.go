@@ -71,8 +71,8 @@ type Simulator struct {
 	set *multichannel.Set // K-channel allocation; nil on the single-channel path
 }
 
-// New validates the configuration, generates the data source and lets the
-// broadcast server construct the scheme's channel.
+// New validates the configuration, generates the data source and builds
+// the simulator over it (NewOn).
 func New(cfg Config) (*Simulator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -80,6 +80,19 @@ func New(cfg Config) (*Simulator, error) {
 	ds, err := datagen.Generate(cfg.Data)
 	if err != nil {
 		return nil, err
+	}
+	return NewOn(ds, cfg)
+}
+
+// NewOn builds the simulator for cfg over a data source already generated
+// from cfg.Data, and lets the broadcast server construct the scheme's
+// channel. The dataset is only read, so runs may share one.
+func NewOn(ds *datagen.Dataset, cfg Config) (*Simulator, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if ds.Config() != cfg.Data {
+		return nil, fmt.Errorf("core: dataset generated from %+v, config wants %+v", ds.Config(), cfg.Data)
 	}
 	bc, err := BuildBroadcast(ds, cfg)
 	if err != nil {

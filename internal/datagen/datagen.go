@@ -14,7 +14,6 @@ package datagen
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 )
 
 // Config describes a synthetic database.
@@ -75,27 +74,42 @@ type Dataset struct {
 	records []Record
 }
 
-// Generate builds a dataset from the configuration.
+// Generate builds a dataset from the configuration. Each record's
+// attribute text is written into one reused buffer and copied out as a
+// single string that its attributes slice, and every record's Attrs
+// shares one backing array, so generation makes one allocation per record.
 func Generate(cfg Config) (*Dataset, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	words := newWordGen(rng)
 	records := make([]Record, cfg.NumRecords)
+	na := cfg.NumAttributes
+	attrs := make([]string, cfg.NumRecords*na)
 	attrBudget := cfg.RecordSize - cfg.KeySize
+	per := attrBudget / na
+	// ends[j] is where attribute j stops in the record's text.
+	ends := make([]int, na)
+	var buf []byte
 	key := uint64(1000 + rng.Intn(1000))
 	for i := range records {
-		attrs := make([]string, cfg.NumAttributes)
-		per := attrBudget / cfg.NumAttributes
-		for j := range attrs {
+		buf = buf[:0]
+		for j := range ends {
 			n := per
-			if j == cfg.NumAttributes-1 {
-				n = attrBudget - per*(cfg.NumAttributes-1)
+			if j == na-1 {
+				n = attrBudget - per*(na-1)
 			}
-			attrs[j] = words.text(n)
+			buf = appendText(buf, rng, n)
+			ends[j] = len(buf)
 		}
-		records[i] = Record{Key: key, Attrs: attrs}
+		text := string(buf)
+		rec := attrs[i*na : (i+1)*na : (i+1)*na]
+		start := 0
+		for j, end := range ends {
+			rec[j] = text[start:end]
+			start = end
+		}
+		records[i] = Record{Key: key, Attrs: rec}
 		// Gap of at least 2 so key+1 is always a provably missing key.
 		key += 2 + uint64(rng.Intn(3))
 	}
@@ -214,11 +228,8 @@ func DecodeKey(buf []byte) (uint64, error) {
 	return k, nil
 }
 
-// wordGen produces deterministic pseudo-English filler text.
-type wordGen struct {
-	rng *rand.Rand
-}
-
+// Pseudo-English filler: a word is one to three onset-vowel-coda
+// syllables plus an ending.
 var (
 	onsets  = []string{"b", "c", "d", "f", "g", "h", "j", "k", "l", "m", "n", "p", "r", "s", "t", "v", "w", "br", "cr", "dr", "st", "tr", "pl", "sh", "th"}
 	vowels  = []string{"a", "e", "i", "o", "u", "ai", "ea", "ou"}
@@ -226,31 +237,21 @@ var (
 	endings = []string{"", "ing", "ed", "ly", "ness", "tion"}
 )
 
-func newWordGen(rng *rand.Rand) *wordGen { return &wordGen{rng: rng} }
-
-func (w *wordGen) word() string {
-	var b strings.Builder
-	syll := 1 + w.rng.Intn(3)
-	for i := 0; i < syll; i++ {
-		b.WriteString(onsets[w.rng.Intn(len(onsets))])
-		b.WriteString(vowels[w.rng.Intn(len(vowels))])
-		b.WriteString(codas[w.rng.Intn(len(codas))])
-	}
-	b.WriteString(endings[w.rng.Intn(len(endings))])
-	return b.String()
-}
-
-// text returns exactly n bytes of space-separated pseudo-words.
-func (w *wordGen) text(n int) string {
-	if n <= 0 {
-		return ""
-	}
-	var b strings.Builder
-	for b.Len() < n {
-		if b.Len() > 0 {
-			b.WriteByte(' ')
+// appendText appends exactly n bytes of space-separated pseudo-words to
+// dst: whole words until at least n bytes are written, the last one cut.
+func appendText(dst []byte, rng *rand.Rand, n int) []byte {
+	start := len(dst)
+	for len(dst)-start < n {
+		if len(dst) > start {
+			dst = append(dst, ' ')
 		}
-		b.WriteString(w.word())
+		syll := 1 + rng.Intn(3)
+		for i := 0; i < syll; i++ {
+			dst = append(dst, onsets[rng.Intn(len(onsets))]...)
+			dst = append(dst, vowels[rng.Intn(len(vowels))]...)
+			dst = append(dst, codas[rng.Intn(len(codas))]...)
+		}
+		dst = append(dst, endings[rng.Intn(len(endings))]...)
 	}
-	return b.String()[:n]
+	return dst[:start+n]
 }

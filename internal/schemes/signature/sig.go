@@ -98,35 +98,14 @@ func bitPos(state *uint64, bits uint64) uint64 {
 	return z % bits
 }
 
-// pack ORs signature s into the packed words w, ceil(len(s)/8) of them:
-// little-endian 64-bit words, so bit p of the signature bytes (byte p/8,
-// bit p%8) is bit p%64 of word p/64, and bits past the signature's
-// length stay zero.
-func pack(w []uint64, s Sig) {
-	for i, b := range s {
-		w[i/8] |= uint64(b) << (8 * (i % 8))
-	}
-}
-
-// packField ORs the weight bits of the field with hash h into packed
-// words for an nbytes-long signature: fieldSig's bit positions, packed.
-func packField(w []uint64, h uint64, nbytes, weight int) {
+// fieldBits appends the weight bit positions the field with hash h sets
+// in an nbytes-long signature — fieldSig's bits, in the same order — to q.
+func fieldBits(q []int, h uint64, nbytes, weight int) []int {
 	bits := uint64(nbytes * 8)
 	for i := 0; i < weight; i++ {
-		pos := bitPos(&h, bits)
-		w[pos/64] |= 1 << (pos % 64)
+		q = append(q, int(bitPos(&h, bits)))
 	}
-}
-
-// coversWords is the simple scheme's match test on packed words: every
-// bit of the query q is also set in the record signature s.
-func coversWords(s, q []uint64) bool {
-	for i, w := range q {
-		if s[i]&w != w {
-			return false
-		}
-	}
-	return true
+	return q
 }
 
 // Superimpose ORs other into s in place.

@@ -64,9 +64,9 @@ func TestCoversProperties(t *testing.T) {
 
 // TestPackedKeyQueryMatchesQuerySig pins the allocation-free query the
 // simple scheme's client and resolver share: for key widths from 4 to
-// 64 bytes and signatures from 1 to 64 bytes, keyQuery must equal the
-// packed QuerySig of the encoded key, so the packed words hash and place
-// bits exactly as the byte signatures the buckets carry.
+// 64 bytes and signatures from 1 to 64 bytes, the bits keyQuery lists
+// must be exactly the bits set in QuerySig of the encoded key, so the
+// query reads the columns of the bits the signature buckets carry.
 func TestPackedKeyQueryMatchesQuerySig(t *testing.T) {
 	for _, width := range []int{4, 13, 25, 64} {
 		cfg := datagen.Default(20)
@@ -83,14 +83,13 @@ func TestPackedKeyQueryMatchesQuerySig(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, key := range []uint64{0, 1, ds.KeyAt(7), ds.MissingKeyNear(19), 1 << 63} {
-				got := make([]uint64, b.nwords)
-				b.keyQuery(got, nil, key)
-				want := make([]uint64, b.nwords)
-				pack(want, QuerySig(ds.EncodeKey(key), opts.SigBytes, opts.BitsPerField))
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("width %d, %d-byte signature, key %d: packed query %x, want %x", width, sigBytes, key, got, want)
-					}
+				got := make(Sig, sigBytes)
+				for _, j := range b.keyQuery(nil, nil, key) {
+					got[j/8] |= 1 << (j % 8)
+				}
+				want := QuerySig(ds.EncodeKey(key), opts.SigBytes, opts.BitsPerField)
+				if string(got) != string(want) {
+					t.Fatalf("width %d, %d-byte signature, key %d: query bits %x, want %x", width, sigBytes, key, got, want)
 				}
 			}
 		}

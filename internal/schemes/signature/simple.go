@@ -2,6 +2,7 @@ package signature
 
 import (
 	"fmt"
+	"math/bits"
 
 	"github.com/airindex/airindex/internal/access"
 	"github.com/airindex/airindex/internal/channel"
@@ -59,11 +60,12 @@ type Broadcast struct {
 	ds   *datagen.Dataset
 	ch   *channel.Channel
 	opts Options
-	// words holds every record signature packed for matching (the
-	// buckets keep the wire bytes): record i's is
-	// words[i*nwords : (i+1)*nwords].
-	words  []uint64
-	nwords int
+	// cols is the bit-sliced signature file (the buckets keep the wire
+	// bytes): column j, the records whose signature sets bit j, is the
+	// bitset cols[j*stride : (j+1)*stride], record i at bit i%64 of word
+	// i/64.
+	cols   []uint64
+	stride int
 	// sigSize and dataSize are the uniform bucket sizes of each kind.
 	sigSize, dataSize units.ByteCount
 }
@@ -73,8 +75,8 @@ func Build(ds *datagen.Dataset, opts Options) (*Broadcast, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	nw := (opts.SigBytes + 7) / 8
-	words := make([]uint64, ds.Len()*nw)
+	stride := (ds.Len() + 63) / 64
+	cols := make([]uint64, opts.SigBytes*8*stride)
 	buckets := make([]channel.Bucket, 0, 2*ds.Len())
 	for i := 0; i < ds.Len(); i++ {
 		rec := ds.Record(i)
@@ -84,7 +86,11 @@ func Build(ds *datagen.Dataset, opts Options) (*Broadcast, error) {
 			fields = append(fields, []byte(a))
 		}
 		sig := RecordSig(fields, opts.SigBytes, opts.BitsPerField)
-		pack(words[i*nw:(i+1)*nw], sig)
+		for j := range len(sig) * 8 {
+			if sig[j/8]>>(j%8)&1 != 0 {
+				cols[j*stride+i/64] |= 1 << (i % 64)
+			}
+		}
 		buckets = append(buckets,
 			&sigBucket{seq: 2 * i, sig: sig},
 			&dataBucket{seq: 2*i + 1, rec: rec, ds: ds},
@@ -95,7 +101,7 @@ func Build(ds *datagen.Dataset, opts Options) (*Broadcast, error) {
 		return nil, fmt.Errorf("signature: %w", err)
 	}
 	return &Broadcast{
-		ds: ds, ch: ch, opts: opts, words: words, nwords: nw,
+		ds: ds, ch: ch, opts: opts, cols: cols, stride: stride,
 		sigSize: ch.SizeOf(0), dataSize: ch.SizeOf(1),
 	}, nil
 }
@@ -122,15 +128,23 @@ func (b *Broadcast) Params() map[string]float64 {
 	}
 }
 
-// sig returns record i's packed signature.
-func (b *Broadcast) sig(i int) []uint64 { return b.words[i*b.nwords : (i+1)*b.nwords] }
-
-// keyQuery ORs the packed query signature of a key-equality query — the
-// hash of the encoded key field alone — into q, using kbuf as the
-// encoding buffer (it stays on the caller's stack when wide enough).
-func (b *Broadcast) keyQuery(q []uint64, kbuf []byte, key uint64) {
+// keyQuery appends the signature bits of a key-equality query — the hash
+// of the encoded key field alone — to q, using kbuf as the encoding
+// buffer (it stays on the caller's stack when wide enough).
+func (b *Broadcast) keyQuery(q []int, kbuf []byte, key uint64) []int {
 	enc := datagen.AppendKey(kbuf[:0], key, b.ds.Config().KeySize)
-	packField(q, fieldHash(enc), b.opts.SigBytes, b.opts.BitsPerField)
+	return fieldBits(q, fieldHash(enc), b.opts.SigBytes, b.opts.BitsPerField)
+}
+
+// covers reports whether record rec's signature sets every query bit.
+func (b *Broadcast) covers(q []int, rec int) bool {
+	w, bit := rec/64, uint64(1)<<(rec%64)
+	for _, j := range q {
+		if b.cols[j*b.stride+w]&bit == 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // NewClient implements access.Broadcast: read each signature bucket; on a
@@ -138,11 +152,9 @@ func (b *Broadcast) keyQuery(q []uint64, kbuf []byte, key uint64) {
 // (false drops keep scanning); doze over data buckets whose signatures do
 // not match.
 func (b *Broadcast) NewClient(key uint64) access.Client {
-	q := make([]uint64, b.nwords)
-	b.keyQuery(q, nil, key)
 	return &client{
 		b:     b,
-		query: q,
+		query: b.keyQuery(nil, nil, key),
 		match: func(rec int) bool { return b.ds.KeyAt(rec) == key },
 	}
 }
@@ -152,11 +164,9 @@ func (b *Broadcast) NewClient(key uint64) access.Client {
 // protocol with a query signature hashed from the attribute value instead
 // of the key — the multi-attribute filtering of [8].
 func (b *Broadcast) NewAttrClient(attr int, value string) access.Client {
-	q := make([]uint64, b.nwords)
-	packField(q, fieldHash([]byte(value)), b.opts.SigBytes, b.opts.BitsPerField)
 	return &client{
 		b:     b,
-		query: q,
+		query: fieldBits(nil, fieldHash([]byte(value)), b.opts.SigBytes, b.opts.BitsPerField),
 		match: func(rec int) bool {
 			attrs := b.ds.Record(rec).Attrs
 			return attr >= 0 && attr < len(attrs) && attrs[attr] == value
@@ -164,12 +174,12 @@ func (b *Broadcast) NewAttrClient(attr int, value string) access.Client {
 	}
 }
 
-// Resolver limits: a key query's encoding and signature are built in
-// fixed stack buffers, and Resolve declines (the caller then steps the
-// client) for keys or signatures wider than these.
+// Resolver limits: a key query's encoding and signature bits are built
+// in fixed stack buffers, and Resolve declines (the caller then steps the
+// client) for wider keys or heavier query signatures than these.
 const (
 	maxResolveKeyBytes = 64
-	maxResolveSigWords = 16
+	maxResolveWeight   = 256
 )
 
 // Resolve implements access.Resolver: the client's scan in closed form,
@@ -186,9 +196,9 @@ const (
 //
 //airlint:hotpath
 func (b *Broadcast) Resolve(key uint64, arrival sim.Time) (access.Result, bool) {
-	var qbuf [maxResolveSigWords]uint64
+	var qbuf [maxResolveWeight]int
 	var kbuf [maxResolveKeyBytes]byte
-	if b.nwords > len(qbuf) || b.ds.Config().KeySize > len(kbuf) {
+	if b.opts.BitsPerField > len(qbuf) || b.ds.Config().KeySize > len(kbuf) {
 		return access.Result{}, false
 	}
 	n := b.ds.Len()
@@ -207,8 +217,7 @@ func (b *Broadcast) Resolve(key uint64, arrival sim.Time) (access.Result, bool) 
 		}
 		r = (r + 1) % n
 	}
-	q := qbuf[:b.nwords]
-	b.keyQuery(q, kbuf[:], key)
+	q := b.keyQuery(qbuf[:0], kbuf[:], key)
 	k := n // signatures read
 	if present {
 		k = (rec-r+n)%n + 1
@@ -217,7 +226,7 @@ func (b *Broadcast) Resolve(key uint64, arrival sim.Time) (access.Result, bool) 
 	res.Probes += k + covered
 	res.Tuning += b.sigSize.Times(k) + b.dataSize.Times(covered)
 	end := t + (b.sigSize + b.dataSize).Times(k-1).Span() + b.sigSize.Span()
-	if last := (r + k - 1) % n; coversWords(b.sig(last), q) {
+	if last := (r + k - 1) % n; b.covers(q, last) {
 		end += b.dataSize.Span()
 	}
 	res.Access = units.Elapsed(arrival, end)
@@ -226,15 +235,26 @@ func (b *Broadcast) Resolve(key uint64, arrival sim.Time) (access.Result, bool) 
 }
 
 // countCovers counts the record signatures covering q among the k
-// records from r on, in cycle order.
-func (b *Broadcast) countCovers(q []uint64, r, k int) int {
+// records from r on, in cycle order: it ANDs the query's columns a word
+// of 64 records at a time, masks the range's edge words, wraps at the
+// cycle's end and counts the bits left.
+func (b *Broadcast) countCovers(q []int, r, k int) int {
 	n, c := b.ds.Len(), 0
 	for k > 0 {
 		to := min(r+k, n)
-		for w := b.words[r*b.nwords : to*b.nwords]; len(w) > 0; w = w[b.nwords:] {
-			if coversWords(w, q) {
-				c++
+		first, last := r/64, (to-1)/64
+		for w := first; w <= last; w++ {
+			m := ^uint64(0)
+			if w == first {
+				m <<= r % 64
 			}
+			if w == last {
+				m &= ^uint64(0) >> (63 - (to-1)%64)
+			}
+			for _, j := range q {
+				m &= b.cols[j*b.stride+w]
+			}
+			c += bits.OnesCount64(m)
 		}
 		k -= to - r
 		r = 0
@@ -244,7 +264,7 @@ func (b *Broadcast) countCovers(q []uint64, r, k int) int {
 
 type client struct {
 	b       *Broadcast
-	query   []uint64
+	query   []int // signature bits
 	match   func(rec int) bool
 	scanned int // signature buckets examined
 }
@@ -254,7 +274,7 @@ func (c *client) OnBucket(i units.BucketIndex, end sim.Time) access.Step {
 	if i%2 == 0 {
 		// Signature bucket for record i/2.
 		c.scanned++
-		if coversWords(c.b.sig(int(i/2)), c.query) {
+		if c.b.covers(c.query, int(i/2)) {
 			return access.Next() // download the data bucket that follows
 		}
 		if c.scanned >= c.b.ds.Len() {
