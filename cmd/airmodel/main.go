@@ -76,8 +76,7 @@ func run(args []string, out io.Writer) error {
 		var ds *datagen.Dataset
 		for _, scheme := range columns {
 			cfg := core.DefaultConfig(scheme, nr)
-			airql.ApplySettings(&cfg, settings)
-			if err := cfg.Validate(); err != nil {
+			if err := airql.ApplySettings(&cfg, settings); err != nil {
 				return err
 			}
 			if ds == nil {

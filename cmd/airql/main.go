@@ -2,7 +2,9 @@
 // DSL (SWEEP | RUN | TABLE | EMIT) that generates every experiment
 // family in this repository. Scripts name knobs from the simulator's
 // real configuration surface; the compiler type-checks every one against
-// it and reports misuse with line:column positions before anything runs.
+// it and checks every point it will run with the simulator's own config
+// validation, reporting misuse with line:column positions before
+// anything runs.
 //
 // Examples:
 //
@@ -42,7 +44,7 @@ func main() {
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("airql", flag.ContinueOnError)
-	check := fs.Bool("check", false, "compile the scripts and report errors, but do not run them")
+	check := fs.Bool("check", false, "compile the scripts and check every point they would run, but do not run them")
 	list := fs.Bool("list", false, "list the embedded scenario scripts and exit")
 	fast := fs.Bool("fast", false, "reduced workloads and relaxed stopping rule (selects the scripts' fast(...) variants)")
 	seed := fs.Int64("seed", 0, "seed override; wins over a script's RUN seed (0 = default)")
@@ -91,6 +93,9 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		prog, err := airql.Compile(file, src)
+		if err == nil && *check {
+			err = airql.Check(prog, opt)
+		}
 		if err != nil {
 			if !*check {
 				return err

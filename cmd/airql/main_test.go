@@ -117,7 +117,7 @@ func TestRunRejectsBadChannelFlags(t *testing.T) {
 		{[]string{"-set", "multi.channels=2", "-set", "multi.policy=bogus"},
 			`-set:2:14: knob multi.policy: unknown value "bogus"`},
 		{[]string{"-set", "multi.channels=-3"},
-			"-set:1:16: knob multi.channels: value -3 below minimum 0"},
+			"-set:1:16: multichannel: channels -3 must be non-negative (0 disables)"},
 	} {
 		var out bytes.Buffer
 		err := run(append(append([]string{"-fast"}, c.args...), "fig4"), &out)
@@ -135,7 +135,7 @@ func TestRunRejectsBadFaultFlags(t *testing.T) {
 		want string
 	}{
 		{[]string{"-set", "fault.model=bogus"}, `-set:1:13: knob fault.model: unknown value "bogus"`},
-		{[]string{"-set", "fault.model=drop", "-set", "fault.rate=1.5"}, "-set:2:12: knob fault.rate: value 1.5 must be below 1"},
+		{[]string{"-set", "fault.model=drop", "-set", "fault.rate=1.5"}, "-set:2:12: faults: error rate 1.5 outside [0,1)"},
 		{[]string{"-set", "fault.rate=0/0"}, "-set:1:13: knob fault.rate: value NaN is not a finite number"},
 		{[]string{"-set", "fault.rate"}, "-set:1:11: expected '=' in -set fault.rate"},
 		{[]string{"-set", "fault.rate=0.1 multi.channels=2"}, "-set:1:16: unexpected identifier after -set fault.rate=..."},
@@ -148,6 +148,28 @@ func TestRunRejectsBadFaultFlags(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%v: got %v, want an error containing %q", c.args, err, c.want)
 		}
+	}
+}
+
+// TestCheckReportsInvalidPoint: -check runs every point through the
+// simulator's config validation, so a script that would fail at run time
+// fails the check at the SET that made its points invalid, with the
+// validator's message and its package prefix once; running it fails the
+// same way before any point runs.
+func TestCheckReportsInvalidPoint(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "serial.airql")
+	src := "SWEEP records=1000,2000\nSET scheme=flat availability=0.5 fault.rate=0.01\nTABLE t x(records)\nCOL \"a\" mean(access)\n"
+	if err := os.WriteFile(file, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := file + `:2:45: core: scheme "flat" is serial`
+	var out bytes.Buffer
+	if err := run([]string{"-check", file}, &out); err == nil || !strings.HasPrefix(out.String(), want) || strings.Count(out.String(), "core:") != 1 {
+		t.Errorf("-check: got %v with output %q, want a failure printing %q... with one core: prefix", err, out.String(), want)
+	}
+	out.Reset()
+	if err := run([]string{"-fast", "-quiet", file}, &out); err == nil || !strings.HasPrefix(err.Error(), want) || strings.Count(err.Error(), "core:") != 1 {
+		t.Errorf("run: got %v, want an error starting %q with one core: prefix", err, want)
 	}
 }
 

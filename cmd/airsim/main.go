@@ -72,7 +72,9 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	airql.ApplySettings(&cfg, settings)
+	if err := airql.ApplySettings(&cfg, settings); err != nil {
+		return err
+	}
 
 	res, err := core.RunOne(cfg)
 	if err != nil {

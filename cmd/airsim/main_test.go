@@ -180,6 +180,25 @@ func TestRunRejectsBadChannelFlags(t *testing.T) {
 	}
 }
 
+// TestRunErrorPrefixOnce: a config Validate rejects fails with the
+// validator's message, its package prefix once, and at the -set flag
+// that made it invalid when there is one.
+func TestRunErrorPrefixOnce(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-accuracy", "2"}, "core: accuracy 2 outside (0,1)"},
+		{[]string{"-set", "availability=0.5", "-set", "fault.rate=0.01"}, `-set:2:12: core: scheme "flat" is serial`},
+	} {
+		var out bytes.Buffer
+		err := run(append([]string{"-scheme", "flat", "-records", "100"}, c.args...), &out)
+		if err == nil || !strings.HasPrefix(err.Error(), c.want) || strings.Count(err.Error(), "core:") != 1 {
+			t.Errorf("%v: got %v, want an error starting %q with one core: prefix", c.args, err, c.want)
+		}
+	}
+}
+
 func TestRunRejectsUnknownScheme(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-scheme", "nope", "-records", "100"}, &out); err == nil {

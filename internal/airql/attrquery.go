@@ -25,15 +25,13 @@ type attrRow struct {
 // single sim.NewRNG(seed) stream in a fixed order, so its numbers are
 // bit-identical to the Go harness it replaced.
 func (ex *executor) runAttrQuery() error {
-	if len(ex.axes) != 1 || ex.axes[0].decl.Name != "records" {
-		return &Error{File: ex.prog.File, Pos: Pos{Line: 1, Col: 1},
-			Msg: "attrquery mode needs exactly one axis, records"}
-	}
 	name := scriptName(ex.prog.File)
-	ex.attrs = make([]attrRow, len(ex.axes[0].vals))
-	for ri, val := range ex.axes[0].vals {
-		n := int(val.Num)
-		cfg := ex.opt.BaseConfig("flat", n)
+	ex.attrs = make([]attrRow, len(ex.cfgs))
+	// Each point's config is the signature one (see schemeFor).
+	for ri, sigCfg := range ex.cfgs {
+		n := sigCfg.Data.NumRecords
+		cfg := sigCfg
+		cfg.Scheme = "flat"
 		ds, err := datagen.Generate(cfg.Data)
 		if err != nil {
 			return err
@@ -42,7 +40,6 @@ func (ex *executor) runAttrQuery() error {
 		if err != nil {
 			return err
 		}
-		sigCfg := ex.opt.BaseConfig("signature", n)
 		sb, err := core.BuildBroadcast(ds, sigCfg)
 		if err != nil {
 			return err

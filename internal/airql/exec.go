@@ -27,7 +27,13 @@ type executor struct {
 	stride []int // linear-index stride per axis (axis 0 is slowest)
 	total  int
 
-	cfgs    []core.Config
+	cfgs []core.Config
+	// base is every point's config before its scheme and knobs (the
+	// profile's DefaultConfig, which depends on the scheme only by name);
+	// steps and pf are pointConfig's scratch.
+	base    core.Config
+	steps   []Setting
+	pf      pointFaults
 	results []*core.Result
 	attrs   []attrRow // attrquery mode: one row per records value
 	mode    string
@@ -35,29 +41,22 @@ type executor struct {
 
 // Execute compiles nothing new — the program must have passed Validate —
 // and runs every sweep point, returning the declared tables in order.
-// All points run through the shared concurrent scheduler (runPoints)
-// under the (Seed, Shards) determinism contract: results depend on each
-// point's config only, never on scheduling.
+// It first checks every point as Check does, so a bad combination fails
+// before any point runs. All points run through the shared concurrent
+// scheduler (runPoints) under the (Seed, Shards) determinism contract:
+// results depend on each point's config only, never on scheduling.
 func Execute(prog *Program, opt Options) ([]*Table, error) {
-	if errs := Validate(prog); len(errs) > 0 {
-		return nil, errs
+	ex, err := check(prog, opt)
+	if err != nil {
+		return nil, err
 	}
-	ex := newExecutor(prog, opt)
 	if ex.mode == ModeAttrQuery {
-		if err := ex.runAttrQuery(); err != nil {
-			return nil, err
-		}
+		err = ex.runAttrQuery()
 	} else {
-		cfgs, err := ex.pointConfigs()
-		if err != nil {
-			return nil, err
-		}
-		ex.cfgs = cfgs
-		results, err := runPoints(ex.opt, cfgs)
-		if err != nil {
-			return nil, err
-		}
-		ex.results = results
+		ex.results, err = runPoints(ex.opt, ex.cfgs)
+	}
+	if err != nil {
+		return nil, err
 	}
 
 	decls := prog.Tables
@@ -77,6 +76,26 @@ func Execute(prog *Program, opt Options) ([]*Table, error) {
 		tables = append(tables, tb)
 	}
 	return tables, nil
+}
+
+// Check builds every point of a compiled program under opt, session
+// settings included, and reports each point core.Config.Validate
+// rejects, as Execute does before it runs any.
+func Check(prog *Program, opt Options) error {
+	_, err := check(prog, opt)
+	return err
+}
+
+func check(prog *Program, opt Options) (*executor, error) {
+	if errs := Validate(prog); len(errs) > 0 {
+		return nil, errs
+	}
+	ex := newExecutor(prog, opt)
+	ex.cfgs = make([]core.Config, ex.total)
+	if errs := ex.pointConfigs(func(li int, cfg *core.Config) { ex.cfgs[li] = *cfg }); len(errs) > 0 {
+		return nil, errs
+	}
+	return ex, nil
 }
 
 // newExecutor merges the program's RUN settings into the session options
@@ -99,7 +118,7 @@ func newExecutor(prog *Program, opt Options) *executor {
 		}
 	}
 
-	ex := &executor{prog: prog, opt: opt, mode: mode}
+	ex := &executor{prog: prog, opt: opt, mode: mode, base: opt.profileConfig("", opt.ComparisonRecords())}
 	for i := range prog.Axes {
 		decl := &prog.Axes[i]
 		ex.axes = append(ex.axes, axisRT{
@@ -117,26 +136,24 @@ func newExecutor(prog *Program, opt Options) *executor {
 	return ex
 }
 
-// pointConfigs returns every sweep point's config in linear-index order.
-func (ex *executor) pointConfigs() ([]core.Config, error) {
-	cfgs := make([]core.Config, ex.total)
-	for li := range cfgs {
-		cfg, err := ex.pointConfig(ex.indexOf(li))
-		if err != nil {
-			return nil, err
-		}
-		cfgs[li] = cfg
-	}
-	return cfgs, nil
-}
-
-// indexOf decodes a linear point index into per-axis indices.
-func (ex *executor) indexOf(li int) []int {
+// pointConfigs builds every sweep point's config in linear-index order
+// and hands each one that passes its check to visit. It returns the
+// diagnostics of the points that fail, each one once.
+func (ex *executor) pointConfigs(visit func(li int, cfg *core.Config)) ErrorList {
+	var errs ErrorList
+	var cfg core.Config
 	idx := make([]int, len(ex.axes))
-	for i := range ex.axes {
-		idx[i] = li / ex.stride[i] % len(ex.axes[i].vals)
+	for li := 0; li < ex.total; li++ {
+		for i := range ex.axes {
+			idx[i] = li / ex.stride[i] % len(ex.axes[i].vals)
+		}
+		if err := ex.pointConfig(idx, &cfg); err != nil {
+			errs = append(errs, err)
+		} else {
+			visit(li, &cfg)
+		}
 	}
-	return idx
+	return errs.unique()
 }
 
 func (ex *executor) axisIndex(name string) int {
@@ -156,145 +173,119 @@ func (ex *executor) profileExpr(set *SetDecl) *Expr {
 	return set.Expr
 }
 
-// pointConfig assembles one sweep point's full configuration: the
-// constructor knobs (scheme, records) feed BaseConfig, which applies the
-// session settings, then axis values and SET stages apply in declaration
-// order, then the fault.* staging collapses into cfg.Faults wholesale.
-func (ex *executor) pointConfig(idx []int) (core.Config, error) {
-	scheme, err := ex.schemeFor(idx)
+// pointConfig assembles one sweep point's configuration into cfg and
+// checks it with core.Config.Validate. The scheme and the records value
+// give the base config; the session settings, the axis values and the
+// SET stages then apply in that order, and the fault.* staging collapses
+// into cfg.Faults (see fold). A point that fails is blamed on the setting
+// that ended its longest valid prefix — a -set flag, an axis value or a
+// SET's expression — or on the records value (else the scheme) when the
+// base itself fails. A knob the point's scheme ignores is reported at the
+// knob's name.
+func (ex *executor) pointConfig(idx []int, cfg *core.Config) *Error {
+	scheme, basePos, err := ex.schemeFor(idx)
 	if err != nil {
-		return core.Config{}, err
+		return err
 	}
-	records, err := ex.recordsFor(idx)
-	if err != nil {
-		return core.Config{}, err
-	}
-	cfg := ex.opt.BaseConfig(scheme, records)
-	var pf pointFaults
-	env := &evalEnv{ex: ex, idx: idx}
+	steps := append(ex.steps[:0], ex.opt.Settings...)
 	for i := range ex.axes {
 		ax := &ex.axes[i]
 		if ax.kn == nil {
 			continue
 		}
-		if err := applyKnob(&cfg, &pf, ax.kn, ax.vals[idx[i]]); err != nil {
-			return core.Config{}, err
+		if err := ex.compatible(ax.kn, scheme, ax.decl.Pos); err != nil {
+			return err
 		}
+		// checkAxes has checked every axis value's scalar.
+		steps = append(steps, Setting{kn: ax.kn, val: ax.vals[idx[i]], file: ex.prog.File})
 	}
+	env := &evalEnv{ex: ex, idx: idx}
 	for i := range ex.prog.Sets {
 		set := &ex.prog.Sets[i]
 		kn := lookupKnob(set.Knob)
-		val, verr := ex.setValue(set, env)
-		if verr != nil {
-			return core.Config{}, verr
+		if err := ex.compatible(kn, scheme, set.Pos); err != nil {
+			return err
 		}
-		if err := applyKnob(&cfg, &pf, kn, val); err != nil {
-			return core.Config{}, err
+		val, err := ex.setValue(set, env)
+		if err != nil {
+			return err
+		}
+		val.Pos = ex.profileExpr(set).Pos
+		s := Setting{kn: kn, val: val, file: ex.prog.File}
+		if msg := checkKnobScalar(kn, val); msg != "" {
+			return s.errorf("%s (computed value)", msg)
+		}
+		steps = append(steps, s)
+	}
+	ex.steps = steps
+	*cfg = ex.base
+	cfg.Scheme = scheme
+	for _, s := range steps {
+		if s.kn.name == "records" {
+			cfg.Data.NumRecords = int(s.val.Num)
+			basePos = s.val.Pos
 		}
 	}
-	pf.apply(&cfg)
-	return cfg, nil
+	switch blame, verr := assemble(cfg, &ex.pf, steps); {
+	case verr == nil:
+		return nil
+	case blame < 0:
+		return &Error{File: ex.prog.File, Pos: basePos, Msg: verr.Error()}
+	default:
+		return steps[blame].errorf("%v", verr)
+	}
+}
+
+// compatible refuses a knob the point's scheme ignores.
+func (ex *executor) compatible(kn *knob, scheme string, at Pos) *Error {
+	if kn.compatibleWith(scheme) {
+		return nil
+	}
+	return &Error{File: ex.prog.File, Pos: at, Msg: fmt.Sprintf("knob %s applies only to %s, but the script also runs scheme %q",
+		kn.name, strings.Join(kn.schemes, "/"), scheme)}
 }
 
 // setValue evaluates a SET's right-hand side for the current point. A
 // vocabulary knob's value is a bare name (SET alloc=replicated), a
 // quoted string, or a reference to a string axis — never a computed
-// expression, so those short-circuit the arithmetic evaluator.
+// expression (the validator rejects those), so it skips the arithmetic
+// evaluator.
 func (ex *executor) setValue(set *SetDecl, env *evalEnv) (Scalar, *Error) {
 	e := ex.profileExpr(set)
-	kn := lookupKnob(set.Knob)
-	if kn != nil && kn.isString {
-		switch e.Kind {
-		case ExprStr:
-			return Scalar{Pos: e.Pos, IsStr: true, Str: e.Str}, nil
-		case ExprVar:
-			if ai := ex.axisIndex(e.Name); ai >= 0 {
-				return ex.axes[ai].vals[env.idx[ai]], nil
-			}
-			return Scalar{Pos: e.Pos, IsStr: true, Str: e.Name}, nil
-		default:
-			return Scalar{}, &Error{File: ex.prog.File, Pos: e.Pos,
-				Msg: fmt.Sprintf("knob %s takes a name, not an expression", kn.name)}
-		}
+	if kn := lookupKnob(set.Knob); kn == nil || !kn.isString {
+		return env.eval(e)
 	}
-	return env.eval(e)
+	if e.Kind != ExprVar {
+		return Scalar{Pos: e.Pos, IsStr: true, Str: e.Str}, nil
+	}
+	if ai := ex.axisIndex(e.Name); ai >= 0 {
+		return ex.axes[ai].vals[env.idx[ai]], nil
+	}
+	return Scalar{Pos: e.Pos, IsStr: true, Str: e.Name}, nil
 }
 
-// applyKnob lands one value, re-checking ranges for computed expressions
-// the validator could not fold.
-func applyKnob(cfg *core.Config, pf *pointFaults, kn *knob, v Scalar) error {
-	if kn == nil {
-		return nil
+// schemeFor resolves the point's scheme and where it was given: the
+// scheme axis value or a SET scheme expression. An attrquery point's
+// config is the signature one of its flat-vs-signature pair.
+func (ex *executor) schemeFor(idx []int) (string, Pos, *Error) {
+	if ex.mode == ModeAttrQuery {
+		return "signature", Pos{Line: 1, Col: 1}, nil
 	}
-	if kn.isString && !v.IsStr {
-		// A numeric axis value routed into a vocabulary knob; the
-		// validator rejects this, so reaching here is an executor bug.
-		return &Error{Pos: v.Pos, Msg: fmt.Sprintf("knob %s takes a name", kn.name)}
-	}
-	if msg := checkKnobScalar(kn, v); msg != "" {
-		return &Error{Pos: v.Pos, Msg: msg + " (computed value)"}
-	}
-	kn.apply(cfg, pf, v)
-	return nil
-}
-
-// schemeFor resolves the point's scheme: the scheme axis value, a SET
-// scheme expression, or nothing — which the validator already rejected.
-func (ex *executor) schemeFor(idx []int) (string, error) {
 	if ai := ex.axisIndex("scheme"); ai >= 0 {
-		c, ok := canonScheme(ex.axes[ai].vals[idx[ai]].Str)
-		if !ok {
-			return "", &Error{Pos: ex.axes[ai].vals[idx[ai]].Pos, Msg: "unknown scheme"}
-		}
-		return c, nil
+		val := ex.axes[ai].vals[idx[ai]]
+		c, _ := canonScheme(val.Str)
+		return c, val.Pos, nil
 	}
 	for i := range ex.prog.Sets {
 		set := &ex.prog.Sets[i]
 		if kn := lookupKnob(set.Knob); kn == nil || kn.name != "scheme" {
 			continue
 		}
-		e := ex.profileExpr(set)
-		name := ""
-		switch e.Kind {
-		case ExprStr:
-			name = e.Str
-		case ExprVar:
-			if ai := ex.axisIndex(e.Name); ai >= 0 {
-				name = ex.axes[ai].vals[idx[ai]].Str
-			} else {
-				name = e.Name
-			}
-		default:
-			return "", &Error{Pos: e.Pos, Msg: "scheme takes a name, not an expression"}
-		}
-		c, ok := canonScheme(name)
-		if !ok {
-			return "", &Error{Pos: e.Pos, Msg: fmt.Sprintf("unknown scheme %q (schemes: %s)", name, schemeVocab())}
-		}
-		return c, nil
+		val, err := ex.setValue(set, &evalEnv{ex: ex, idx: idx})
+		c, _ := canonScheme(val.Str)
+		return c, ex.profileExpr(set).Pos, err
 	}
-	return "", &Error{Pos: Pos{Line: 1, Col: 1}, Msg: "script never sets the scheme"}
-}
-
-// recordsFor resolves the point's database size; scripts that never set
-// records get the comparison workload's default.
-func (ex *executor) recordsFor(idx []int) (int, error) {
-	if ai := ex.axisIndex("records"); ai >= 0 {
-		return int(ex.axes[ai].vals[idx[ai]].Num), nil
-	}
-	for i := range ex.prog.Sets {
-		set := &ex.prog.Sets[i]
-		if kn := lookupKnob(set.Knob); kn == nil || kn.name != "records" {
-			continue
-		}
-		env := &evalEnv{ex: ex, idx: idx}
-		val, err := env.eval(ex.profileExpr(set))
-		if err != nil {
-			return 0, err
-		}
-		return int(val.Num), nil
-	}
-	return ex.opt.ComparisonRecords(), nil
+	return "", Pos{}, &Error{File: ex.prog.File, Pos: Pos{Line: 1, Col: 1}, Msg: "script never sets the scheme (SWEEP scheme=... or SET scheme=...)"}
 }
 
 // buildTable evaluates one table declaration over the finished results.

@@ -4,13 +4,16 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/airindex/airindex/internal/core"
 	"github.com/airindex/airindex/scenarios"
 )
 
 // FuzzCompile drives the whole compiler front end — lexer, parser,
 // validator — over arbitrary input. The contract under fuzzing: never
-// panic, and every rejection is an *Error or ErrorList whose diagnostics
-// all carry a 1-based line:col position. Run with
+// panic; every rejection is an *Error or ErrorList whose diagnostics all
+// carry a 1-based line:col position; and a script Compile accepts builds,
+// under both profiles, only point configs core.Config.Validate accepts.
+// Run with
 //
 //	go test -fuzz=FuzzCompile ./internal/airql
 func FuzzCompile(f *testing.F) {
@@ -29,11 +32,33 @@ func FuzzCompile(f *testing.F) {
 	f.Add("SWEEP x=\"")
 	f.Add("SWEEP x=1..")
 	f.Add("COL")
+	// Scripts whose points each fail core.Config.Validate.
+	for _, set := range []string{
+		"SET scheme=flat zipfs=2",
+		"SET scheme=flat availability=0.5 fault.rate=0.01",
+		"SET scheme=onem multi.channels=2 multi.policy=indexdata multi.indexchannels=2",
+		"SET scheme=sig signature.sigbytes=4 signature.bits=40",
+		"SET scheme=hash hashing.load=0.5",
+		"SET scheme=flat data.recordbytes=10",
+		"SET scheme=flat multi.switchcost=64",
+	} {
+		f.Add("SWEEP records=1,1000\n" + set + "\nTABLE t x(records)\nCOL \"a\" mean(access)\n")
+	}
 	f.Fuzz(func(t *testing.T, src string) {
 		prog, err := Compile("fuzz.airql", src)
 		if err == nil {
 			if prog == nil {
 				t.Fatal("nil program with nil error")
+			}
+			for _, fast := range []bool{false, true} {
+				errs := newExecutor(prog, Options{Fast: fast}).pointConfigs(func(_ int, cfg *core.Config) {
+					if err := cfg.Validate(); err != nil {
+						t.Fatalf("Compile accepted a point Validate rejects: %v", err)
+					}
+				})
+				if errs != nil {
+					t.Fatalf("Compile accepted a script whose points fail: %v", errs)
+				}
 			}
 			return
 		}

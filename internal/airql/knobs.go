@@ -63,6 +63,15 @@ func schemeVocab() string {
 	return strings.Join(names, ", ")
 }
 
+// parsedBy makes a knob vocabulary of the non-empty names parse accepts
+// (parse reads "" as its default, which a script must spell out).
+func parsedBy[T any](parse func(string) (T, error)) func(string) (string, bool) {
+	return func(s string) (string, bool) {
+		_, err := parse(s)
+		return s, s != "" && err == nil
+	}
+}
+
 // sigFamily are the schemes that honour the signature.* knobs.
 var sigFamily = []string{"signature", "signature-integrated", "signature-multilevel"}
 
@@ -104,20 +113,31 @@ func (pf *pointFaults) apply(cfg *core.Config) {
 	}
 }
 
-// Setting is one session-wide knob assignment, parsed from a -set flag.
+// Setting is one knob assignment: a -set flag (ParseSettings makes
+// these), an axis value or a SET stage. A point's config is its base with
+// its settings applied in order. file and val.Pos locate a setting for
+// diagnostics (for a SET or -set, at its expression); session marks a
+// -set flag, whose fault.* staging collapses apart from the script's.
 type Setting struct {
-	kn  *knob
-	val Scalar
+	kn      *knob
+	val     Scalar
+	file    string
+	session bool
 }
 
 // Knob returns the setting's canonical knob name.
 func (s Setting) Knob() string { return s.kn.name }
 
+func (s Setting) errorf(format string, args ...any) *Error {
+	return &Error{File: s.file, Pos: s.val.Pos, Msg: fmt.Sprintf(format, args...)}
+}
+
 // ParseSettings parses session-wide "knob=value" assignments, one per
 // -set flag, through the same knob table and value checks as a script's
 // SET. Diagnostics read -set:N:C, where N counts the -set flags from 1.
 // The per-run knobs scheme and records are refused: a script sweeps or
-// sets them, and airsim has its own flags for them.
+// sets them, and airsim has its own flags for them. Ranges are checked
+// where the settings land: ApplySettings, Check and Execute.
 func ParseSettings(args []string) ([]Setting, error) {
 	prog := &Program{File: "-set"}
 	for i, arg := range args {
@@ -130,7 +150,7 @@ func ParseSettings(args []string) ([]Setting, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(TokenAssign, "-set "+name.Text); err != nil {
+		if _, err := p.expect(TokenAssign, "-set ", name.Text); err != nil {
 			return nil, err
 		}
 		expr, err := p.parseExpr()
@@ -156,29 +176,69 @@ func ParseSettings(args []string) ([]Setting, error) {
 	ex := &executor{prog: prog}
 	settings := make([]Setting, len(prog.Sets))
 	for i := range prog.Sets {
-		val, err := ex.setValue(&prog.Sets[i], &evalEnv{ex: ex})
+		set := &prog.Sets[i]
+		val, err := ex.setValue(set, &evalEnv{ex: ex})
 		if err != nil {
 			return nil, err
 		}
-		settings[i] = Setting{kn: lookupKnob(prog.Sets[i].Knob), val: val}
+		val.Pos = set.Expr.Pos
+		settings[i] = Setting{kn: lookupKnob(set.Knob), val: val, file: prog.File, session: true}
 	}
 	return settings, nil
 }
 
-// ApplySettings lands session-wide settings on cfg in flag order; the
-// fault.* settings collapse into cfg.Faults as a script's do.
-func ApplySettings(cfg *core.Config, settings []Setting) {
-	var pf pointFaults
-	for _, s := range settings {
-		s.kn.apply(cfg, &pf, s.val)
+// ApplySettings lands session-wide settings on cfg and checks the result
+// as a point's config is checked (see assemble); a failure of cfg before
+// any setting is returned as it is.
+func ApplySettings(cfg *core.Config, settings []Setting) error {
+	blame, err := assemble(cfg, new(pointFaults), settings)
+	if err != nil && blame >= 0 {
+		return settings[blame].errorf("%v", err)
+	}
+	return err
+}
+
+// fold lands settings on cfg in order, staging the fault.* knobs in pf
+// (the caller's, so that a point check allocates none). The -set flags'
+// staging collapses into cfg.Faults before the first script knob and the
+// script's after its last, so a script's fault.model or fault.rate
+// replaces the session's fault config wholesale.
+func fold(cfg *core.Config, pf *pointFaults, settings []Setting) {
+	*pf = pointFaults{}
+	for i, s := range settings {
+		if i > 0 && settings[i-1].session && !s.session {
+			pf.apply(cfg)
+			*pf = pointFaults{}
+		}
+		s.kn.apply(cfg, pf, s.val)
 	}
 	pf.apply(cfg)
 }
 
-// knob describes one assignable configuration key: its value type, its
-// static range, the schemes it applies to, and how it lands on
-// core.Config. This table IS the validator's knowledge of the config
-// surface; DESIGN.md §11 renders it as documentation.
+// assemble folds settings onto cfg, their base, and runs
+// core.Config.Validate on the result. When that fails, blame is the index
+// of the setting that ended the longest valid prefix of the settings
+// (each prefix folded, fault staging collapsed, on its own), or -1 when
+// the base itself fails.
+func assemble(cfg *core.Config, pf *pointFaults, settings []Setting) (blame int, err error) {
+	base := *cfg
+	fold(cfg, pf, settings)
+	if err = cfg.Validate(); err == nil {
+		return 0, nil
+	}
+	for blame = len(settings) - 1; blame >= 0; blame-- {
+		prefix := base
+		if fold(&prefix, pf, settings[:blame]); prefix.Validate() == nil {
+			break
+		}
+	}
+	return blame, err
+}
+
+// knob describes one assignable configuration key: its value type, the
+// schemes it applies to, and how it lands on core.Config. It holds no
+// range: core.Config.Validate judges every point a script will run (see
+// pointConfig). DESIGN.md §11 renders the table as documentation.
 type knob struct {
 	name string
 	doc  string
@@ -190,17 +250,12 @@ type knob struct {
 	// isBytes marks byte quantities: unit-suffixed numbers (1KiB) are
 	// accepted here and only here.
 	isBytes bool
-	// isInt requires an integral value.
+	// isInt requires an integral value: apply truncates with int(v.Num).
 	isInt bool
-	// min/max bound numeric values (inclusive; NaN means unbounded).
-	min, max float64
-	// maxExcl is an exclusive upper bound (0 means none): error rates
-	// live in [0,1).
-	maxExcl float64
 	// schemes restricts the knob to these canonical schemes; nil = all.
 	schemes []string
 	// apply lands the value on the config. v is canonical: strings
-	// resolved through vocab, numbers validated against the bounds.
+	// resolved through vocab, numbers finite and, for isInt, integral.
 	apply func(cfg *core.Config, pf *pointFaults, v Scalar)
 }
 
@@ -216,12 +271,9 @@ func (k *knob) compatibleWith(scheme string) bool {
 	return false
 }
 
-// unbounded is the "no bound" marker for knob ranges.
-var unbounded = math.NaN()
-
-// knobTable lists every knob in documentation order. scheme and records
-// are constructor knobs: the executor needs them before DefaultConfig
-// exists, so their apply is a no-op here and exec.go reads them first.
+// knobTable lists every knob in documentation order. scheme is the
+// constructor knob: exec.go reads it first (it names the point's base
+// config and gates the scheme-specific knobs), so its apply is a no-op.
 var knobTable = []knob{
 	{
 		name: "scheme", doc: "access method", isString: true,
@@ -229,54 +281,54 @@ var knobTable = []knob{
 		apply: func(cfg *core.Config, pf *pointFaults, v Scalar) {},
 	},
 	{
-		name: "records", doc: "database size in records", isInt: true, min: 1, max: unbounded,
-		apply: func(cfg *core.Config, pf *pointFaults, v Scalar) {},
+		name: "records", doc: "database size in records", isInt: true,
+		apply: func(cfg *core.Config, pf *pointFaults, v Scalar) { cfg.Data.NumRecords = int(v.Num) },
 	},
 	{
-		name: "availability", doc: "probability a request's key is broadcast", min: 0, max: 1,
+		name: "availability", doc: "probability a request's key is broadcast",
 		apply: func(cfg *core.Config, pf *pointFaults, v Scalar) { cfg.Availability = v.Num },
 	},
 	{
-		name: "requestmean", doc: "mean request inter-arrival time in bytes", min: 1e-9, max: unbounded,
+		name: "requestmean", doc: "mean request inter-arrival time in bytes",
 		apply: func(cfg *core.Config, pf *pointFaults, v Scalar) { cfg.RequestMean = v.Num },
 	},
 	{
-		name: "zipfs", doc: "Zipf popularity exponent (0 = uniform, else > 1)", min: 0, max: unbounded,
+		name: "zipfs", doc: "Zipf popularity exponent (0 = uniform, else > 1)",
 		apply: func(cfg *core.Config, pf *pointFaults, v Scalar) { cfg.ZipfS = v.Num },
 	},
 	{
-		name: "dozeratio", doc: "doze-mode power relative to active listening", min: 0, max: 1,
+		name: "dozeratio", doc: "doze-mode power relative to active listening",
 		apply: func(cfg *core.Config, pf *pointFaults, v Scalar) { cfg.DozePowerRatio = v.Num },
 	},
 	{
-		name: "data.recordbytes", doc: "record payload size", isBytes: true, isInt: true, min: 1, max: unbounded,
+		name: "data.recordbytes", doc: "record payload size", isBytes: true, isInt: true,
 		apply: func(cfg *core.Config, pf *pointFaults, v Scalar) { cfg.Data.RecordSize = int(v.Num) },
 	},
 	{
-		name: "data.keybytes", doc: "encoded key width", isBytes: true, isInt: true, min: 4, max: unbounded,
+		name: "data.keybytes", doc: "encoded key width", isBytes: true, isInt: true,
 		apply: func(cfg *core.Config, pf *pointFaults, v Scalar) { cfg.Data.KeySize = int(v.Num) },
 	},
 	{
-		name: "data.attrs", doc: "text attributes per record", isInt: true, min: 1, max: unbounded,
+		name: "data.attrs", doc: "text attributes per record", isInt: true,
 		apply: func(cfg *core.Config, pf *pointFaults, v Scalar) { cfg.Data.NumAttributes = int(v.Num) },
 	},
 	{
 		name: "dist.r", doc: "distributed indexing's replication level (-1 = optimal)",
-		isInt: true, min: -1, max: unbounded, schemes: []string{"distributed"},
+		isInt: true, schemes: []string{"distributed"},
 		apply: func(cfg *core.Config, pf *pointFaults, v Scalar) { cfg.Dist.R = int(v.Num) },
 	},
 	{
 		name: "onem.m", doc: "(1,m) indexing's index repetitions per cycle",
-		isInt: true, min: 1, max: unbounded, schemes: []string{"(1,m)"},
+		isInt: true, schemes: []string{"(1,m)"},
 		apply: func(cfg *core.Config, pf *pointFaults, v Scalar) { cfg.Onem.M = int(v.Num) },
 	},
 	{
 		name: "hashing.load", doc: "hashing's load factor (records per logical bucket)",
-		min: 1e-9, max: unbounded, schemes: []string{"hashing"},
-		apply: func(cfg *core.Config, pf *pointFaults, v Scalar) { cfg.Hashing.LoadFactor = v.Num },
+		schemes: []string{"hashing"},
+		apply:   func(cfg *core.Config, pf *pointFaults, v Scalar) { cfg.Hashing.LoadFactor = v.Num },
 	},
 	{
-		name: "signature.sigbytes", doc: "signature width", isBytes: true, isInt: true, min: 1, max: unbounded,
+		name: "signature.sigbytes", doc: "signature width", isBytes: true, isInt: true,
 		schemes: sigFamily,
 		apply: func(cfg *core.Config, pf *pointFaults, v Scalar) {
 			cfg.Signature.SigBytes = int(v.Num)
@@ -288,31 +340,23 @@ var knobTable = []knob{
 		},
 	},
 	{
-		name: "signature.bits", doc: "bits set per indexed field", isInt: true, min: 1, max: unbounded,
+		name: "signature.bits", doc: "bits set per indexed field", isInt: true,
 		schemes: sigFamily,
 		apply:   func(cfg *core.Config, pf *pointFaults, v Scalar) { cfg.Signature.BitsPerField = int(v.Num) },
 	},
 	{
-		name: "signature.groupsize", doc: "records per signature group", isInt: true, min: 1, max: unbounded,
+		name: "signature.groupsize", doc: "records per signature group", isInt: true,
 		schemes: []string{"signature-integrated", "signature-multilevel"},
 		apply:   func(cfg *core.Config, pf *pointFaults, v Scalar) { cfg.Signature.GroupSize = int(v.Num) },
 	},
 	{
-		name: "hybrid.groupsize", doc: "records per indexed signature group", isInt: true, min: 1, max: unbounded,
+		name: "hybrid.groupsize", doc: "records per indexed signature group", isInt: true,
 		schemes: []string{"hybrid"},
 		apply:   func(cfg *core.Config, pf *pointFaults, v Scalar) { cfg.Hybrid.GroupSize = int(v.Num) },
 	},
 	{
 		name: "fault.model", doc: "unreliable-channel error model", isString: true,
-		vocab: func(s string) (string, bool) {
-			if s == "" {
-				return "", false
-			}
-			if _, err := faults.ParseModel(s); err != nil {
-				return "", false
-			}
-			return s, true
-		},
+		vocab:    parsedBy(faults.ParseModel),
 		vocabDoc: "models: none, iid, ge, drop",
 		apply: func(cfg *core.Config, pf *pointFaults, v Scalar) {
 			m, _ := faults.ParseModel(v.Str)
@@ -320,28 +364,20 @@ var knobTable = []knob{
 		},
 	},
 	{
-		name: "fault.rate", doc: "error rate fed to the model", min: 0, max: unbounded, maxExcl: 1,
+		name: "fault.rate", doc: "error rate fed to the model",
 		apply: func(cfg *core.Config, pf *pointFaults, v Scalar) {
 			pf.rate, pf.rateSet = v.Num, true
 		},
 	},
 	{
-		name: "fault.retries", doc: "recovery retry budget (0 = unbounded)", isInt: true, min: 0, max: unbounded,
+		name: "fault.retries", doc: "recovery retry budget (0 = unbounded)", isInt: true,
 		apply: func(cfg *core.Config, pf *pointFaults, v Scalar) {
 			pf.retries, pf.retrySet = int(v.Num), true
 		},
 	},
 	{
 		name: "fault.recovery", doc: "client re-tune policy after a corrupted read", isString: true,
-		vocab: func(s string) (string, bool) {
-			if s == "" {
-				return "", false
-			}
-			if _, err := faults.ParseRecovery(s); err != nil {
-				return "", false
-			}
-			return s, true
-		},
+		vocab:    parsedBy(faults.ParseRecovery),
 		vocabDoc: "policies: restart, cycle",
 		apply: func(cfg *core.Config, pf *pointFaults, v Scalar) {
 			r, _ := faults.ParseRecovery(v.Str)
@@ -349,25 +385,16 @@ var knobTable = []knob{
 		},
 	},
 	{
-		name: "multi.channels", doc: "physical broadcast channels K (0 = single-channel path)",
-		isInt: true, min: 0, max: multichannel.MaxChannels,
+		name: "multi.channels", doc: "physical broadcast channels K (0 = single-channel path)", isInt: true,
 		apply: func(cfg *core.Config, pf *pointFaults, v Scalar) { cfg.Multi.Channels = int(v.Num) },
 	},
 	{
-		name: "multi.switchcost", doc: "channel-switch retune cost", isBytes: true, isInt: true, min: 0, max: unbounded,
+		name: "multi.switchcost", doc: "channel-switch retune cost", isBytes: true, isInt: true,
 		apply: func(cfg *core.Config, pf *pointFaults, v Scalar) { cfg.Multi.SwitchCost = units.Bytes64(int64(v.Num)) },
 	},
 	{
 		name: "multi.policy", doc: "channel allocation policy", isString: true,
-		vocab: func(s string) (string, bool) {
-			if s == "" {
-				return "", false
-			}
-			if _, err := multichannel.ParsePolicy(s); err != nil {
-				return "", false
-			}
-			return s, true
-		},
+		vocab:    parsedBy(multichannel.ParsePolicy),
 		vocabDoc: "policies: replicated, indexdata, skewed",
 		apply: func(cfg *core.Config, pf *pointFaults, v Scalar) {
 			p, _ := multichannel.ParsePolicy(v.Str)
@@ -375,12 +402,11 @@ var knobTable = []knob{
 		},
 	},
 	{
-		name: "multi.indexchannels", doc: "channels reserved for index buckets (indexdata policy)",
-		isInt: true, min: 0, max: multichannel.MaxChannels,
+		name: "multi.indexchannels", doc: "channels reserved for index buckets (indexdata policy)", isInt: true,
 		apply: func(cfg *core.Config, pf *pointFaults, v Scalar) { cfg.Multi.IndexChannels = int(v.Num) },
 	},
 	{
-		name: "multi.skew", doc: "Zipf exponent of the skewed allocation policy", min: 0, max: unbounded,
+		name: "multi.skew", doc: "Zipf exponent of the skewed allocation policy",
 		apply: func(cfg *core.Config, pf *pointFaults, v Scalar) { cfg.Multi.Skew = v.Num },
 	},
 }
@@ -417,9 +443,10 @@ func KnobNames() []string {
 	return names
 }
 
-// checkKnobScalar validates a resolved value against the knob's static
-// constraints; it returns a message ("" if fine) so callers can anchor
-// the position themselves.
+// checkKnobScalar checks what core.Config.Validate cannot see of a
+// value: name vs number, vocabulary, byte unit, finiteness and, since
+// apply truncates, integrality. It returns a message ("" if fine) so
+// callers can anchor the position themselves.
 func checkKnobScalar(k *knob, v Scalar) string {
 	if k.isString {
 		if !v.IsStr {
@@ -436,25 +463,13 @@ func checkKnobScalar(k *knob, v Scalar) string {
 	if v.Bytes && !k.isBytes {
 		return fmt.Sprintf("unit mismatch: knob %s is dimensionless but the value has a byte unit", k.name)
 	}
-	// NaN passes every ordered bound check below and ±Inf slips past the
-	// unbounded ones, so reject both up front.
+	// apply would land NaN or ±Inf where Validate's range checks are not
+	// all written to catch them, and int(±Inf) is undefined.
 	if math.IsNaN(v.Num) || math.IsInf(v.Num, 0) {
 		return fmt.Sprintf("knob %s: value %s is not a finite number", k.name, formatFloat(v.Num))
 	}
-	if k.isInt && v.Num != math.Trunc(v.Num) {
+	if k.isInt && (v.Num != math.Trunc(v.Num) || math.Abs(v.Num) >= 1<<63) {
 		return fmt.Sprintf("knob %s takes an integer, not %s", k.name, formatFloat(v.Num))
-	}
-	if !math.IsNaN(k.min) && v.Num < k.min {
-		return fmt.Sprintf("knob %s: value %s below minimum %s", k.name, formatFloat(v.Num), formatFloat(k.min))
-	}
-	if !math.IsNaN(k.max) && v.Num > k.max {
-		return fmt.Sprintf("knob %s: value %s above maximum %s", k.name, formatFloat(v.Num), formatFloat(k.max))
-	}
-	if k.maxExcl != 0 && v.Num >= k.maxExcl {
-		return fmt.Sprintf("knob %s: value %s must be below %s", k.name, formatFloat(v.Num), formatFloat(k.maxExcl))
-	}
-	if k.name == "zipfs" && v.Num != 0 && v.Num <= 1 {
-		return fmt.Sprintf("knob zipfs: exponent %s must exceed 1 (or be 0 for the uniform workload)", formatFloat(v.Num))
 	}
 	return ""
 }

@@ -41,6 +41,16 @@ func (l *lexer) advance() byte {
 	return c
 }
 
+// skip consumes n bytes that hold no newline (n < 0: the rest of the
+// source), in one step rather than byte by byte.
+func (l *lexer) skip(n int) {
+	if n < 0 {
+		n = len(l.src) - l.off
+	}
+	l.off += n
+	l.col += n
+}
+
 func (l *lexer) peek() byte {
 	if l.off >= len(l.src) {
 		return 0
@@ -70,9 +80,7 @@ func (l *lexer) next() (Token, *Error) {
 			l.advance()
 			continue
 		case c == '#':
-			for l.off < len(l.src) && l.peek() != '\n' {
-				l.advance()
-			}
+			l.skip(strings.IndexByte(l.src[l.off:], '\n'))
 			continue
 		}
 		break
@@ -136,17 +144,18 @@ func (l *lexer) next() (Token, *Error) {
 	case isDigit(c):
 		return l.lexNumber(p)
 	case isLetter(c):
-		start := l.off
-		for l.off < len(l.src) && isIdent(l.peek()) {
+		start, end := l.off, l.off
+		for end < len(l.src) && isIdent(l.src[end]) {
 			// Stop before '..' so ranges over identifiers fail in the
 			// parser with a clear message rather than gluing the range
 			// operator into the name.
-			if l.peek() == '.' && l.peek2() == '.' {
+			if l.src[end] == '.' && end+1 < len(l.src) && l.src[end+1] == '.' {
 				break
 			}
-			l.advance()
+			end++
 		}
-		return Token{Kind: TokenIdent, Pos: p, Text: l.src[start:l.off]}, nil
+		l.skip(end - start)
+		return Token{Kind: TokenIdent, Pos: p, Text: l.src[start:end]}, nil
 	default:
 		return Token{}, l.errorf(p, "unexpected character %q", string(rune(c)))
 	}
@@ -154,20 +163,13 @@ func (l *lexer) next() (Token, *Error) {
 
 func (l *lexer) lexString(p Pos) (Token, *Error) {
 	l.advance() // opening quote
-	start := l.off
-	for l.off < len(l.src) {
-		c := l.peek()
-		if c == '\n' {
-			return Token{}, l.errorf(p, "unterminated string")
-		}
-		if c == '"' {
-			text := l.src[start:l.off]
-			l.advance()
-			return Token{Kind: TokenString, Pos: p, Text: text}, nil
-		}
-		l.advance()
+	n := strings.IndexByte(l.src[l.off:], '"')
+	if n < 0 || strings.IndexByte(l.src[l.off:l.off+n], '\n') >= 0 {
+		return Token{}, l.errorf(p, "unterminated string")
 	}
-	return Token{}, l.errorf(p, "unterminated string")
+	text := l.src[l.off : l.off+n]
+	l.skip(n + 1) // text and closing quote
+	return Token{Kind: TokenString, Pos: p, Text: text}, nil
 }
 
 // byteUnits maps the accepted unit suffixes to their multipliers. Only

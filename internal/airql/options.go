@@ -37,9 +37,18 @@ func (o Options) progress(format string, args ...any) {
 	}
 }
 
-// BaseConfig applies the stopping-rule profile to a scheme/record pair.
-// Every scenario point starts from it before its knobs are applied.
+// BaseConfig applies the stopping-rule profile, then the session
+// settings, to a scheme/record pair: a scenario point's config before the
+// script's own knobs.
 func (o Options) BaseConfig(scheme string, records int) core.Config {
+	cfg := o.profileConfig(scheme, records)
+	fold(&cfg, new(pointFaults), o.Settings)
+	return cfg
+}
+
+// profileConfig applies the stopping-rule profile, seed and shards to a
+// scheme/record pair.
+func (o Options) profileConfig(scheme string, records int) core.Config {
 	cfg := core.DefaultConfig(scheme, records)
 	if o.Fast {
 		cfg.RoundSize = 250
@@ -57,7 +66,6 @@ func (o Options) BaseConfig(scheme string, records int) core.Config {
 	if o.Shards > 0 {
 		cfg.Shards = o.Shards
 	}
-	ApplySettings(&cfg, o.Settings)
 	return cfg
 }
 

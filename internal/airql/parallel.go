@@ -78,20 +78,17 @@ func runPoints(opt Options, cfgs []core.Config) ([]*core.Result, error) {
 	return results, nil
 }
 
-// runPoint runs one point over its shared dataset, failing as
-// core.RunOne does.
+// runPoint runs one point over its shared dataset. Execute checked the
+// point's config before any point ran, and NewOn checks it again.
 func runPoint(data *datasets, cfg core.Config) (*core.Result, error) {
 	defer data.release(cfg.Data)
-	if err := cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
 	ds, err := data.get(cfg.Data)
 	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+		return nil, err
 	}
 	s, err := core.NewOn(ds, cfg)
 	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+		return nil, err
 	}
 	return s.Run()
 }

@@ -22,9 +22,9 @@ TABLE t x(records)
 COL "access" mean(access){scheme=flat}
 `)
 	ex := newExecutor(prog, Options{Fast: true, Shards: 2})
-	cfgs, err := ex.pointConfigs()
-	if err != nil {
-		t.Fatal(err)
+	var cfgs []core.Config
+	if errs := ex.pointConfigs(func(_ int, cfg *core.Config) { cfgs = append(cfgs, *cfg) }); errs != nil {
+		t.Fatal(errs)
 	}
 	if len(cfgs) != 4 {
 		t.Fatalf("%d points, want 4", len(cfgs))
@@ -84,5 +84,16 @@ func TestSharedDatasetErrorReachesEveryPoint(t *testing.T) {
 		if !strings.HasPrefix(e.Error(), prefix) || !strings.HasSuffix(e.Error(), genErr.Error()) {
 			t.Errorf("point %d error %q, want %q...%q", i, e, prefix, genErr)
 		}
+	}
+}
+
+// TestRunPointErrorPrefixOnce: a failing point's error carries its
+// scheme @ records prefix and the validator's own prefix, once.
+func TestRunPointErrorPrefixOnce(t *testing.T) {
+	cfg := fast.BaseConfig("flat", 200)
+	cfg.Availability = 2
+	_, err := runPoints(fast, []core.Config{cfg})
+	if want := "flat @ 200 records: core: availability 2 outside [0,1]"; err == nil || err.Error() != want {
+		t.Fatalf("got %v, want %s", err, want)
 	}
 }

@@ -54,9 +54,11 @@ func (p *parser) errorf(pos Pos, format string, args ...any) *Error {
 	return &Error{File: p.lx.file, Pos: pos, Msg: fmt.Sprintf(format, args...)}
 }
 
-func (p *parser) expect(kind TokenKind, context string) (Token, *Error) {
+// expect consumes a token of the given kind. The error's context is the
+// concatenation of its parts, joined only on error, not once per token.
+func (p *parser) expect(kind TokenKind, context ...string) (Token, *Error) {
 	if p.cur.Kind != kind {
-		return Token{}, p.errorf(p.cur.Pos, "expected %s in %s, found %s", kind, context, p.cur.Kind)
+		return Token{}, p.errorf(p.cur.Pos, "expected %s in %s, found %s", kind, strings.Join(context, ""), p.cur.Kind)
 	}
 	tok := p.cur
 	if err := p.advance(); err != nil {
@@ -168,8 +170,9 @@ func (p *parser) parseProgram() (*Program, *Error) {
 }
 
 // parseScalar parses a literal value: number (optionally negated or
-// byte-suffixed), bare identifier or quoted string.
-func (p *parser) parseScalar(context string) (Scalar, *Error) {
+// byte-suffixed), bare identifier or quoted string. context is as for
+// expect.
+func (p *parser) parseScalar(context ...string) (Scalar, *Error) {
 	pos := p.cur.Pos
 	neg := false
 	if p.cur.Kind == TokenMinus {
@@ -187,23 +190,23 @@ func (p *parser) parseScalar(context string) (Scalar, *Error) {
 		return s, p.advance()
 	case TokenIdent, TokenString:
 		if neg {
-			return Scalar{}, p.errorf(pos, "'-' must be followed by a number in %s", context)
+			return Scalar{}, p.errorf(pos, "'-' must be followed by a number in %s", strings.Join(context, ""))
 		}
 		s := Scalar{Pos: pos, IsStr: true, Str: p.cur.Text}
 		return s, p.advance()
 	case TokenEOF, TokenNewline, TokenPipe, TokenAssign, TokenComma,
 		TokenLParen, TokenRParen, TokenLBrace, TokenRBrace, TokenRange,
 		TokenColon, TokenPlus, TokenStar, TokenSlash, TokenMinus:
-		return Scalar{}, p.errorf(p.cur.Pos, "expected a value in %s, found %s", context, p.cur.Kind)
+		return Scalar{}, p.errorf(p.cur.Pos, "expected a value in %s, found %s", strings.Join(context, ""), p.cur.Kind)
 	default:
-		return Scalar{}, p.errorf(p.cur.Pos, "expected a value in %s, found %s", context, p.cur.Kind)
+		return Scalar{}, p.errorf(p.cur.Pos, "expected a value in %s, found %s", strings.Join(context, ""), p.cur.Kind)
 	}
 }
 
 // parseValueList parses the right-hand side of a SWEEP axis: either a
 // comma-separated list of scalars or a lo..hi:step range.
 func (p *parser) parseValueList(axis string) ([]Scalar, *Error) {
-	first, err := p.parseScalar("axis " + axis)
+	first, err := p.parseScalar("axis ", axis)
 	if err != nil {
 		return nil, err
 	}
@@ -215,7 +218,7 @@ func (p *parser) parseValueList(axis string) ([]Scalar, *Error) {
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
-		v, err := p.parseScalar("axis " + axis)
+		v, err := p.parseScalar("axis ", axis)
 		if err != nil {
 			return nil, err
 		}
@@ -235,17 +238,17 @@ func (p *parser) parseRange(axis string, lo Scalar) ([]Scalar, *Error) {
 	if lo.IsStr {
 		return nil, p.errorf(lo.Pos, "range bounds must be numbers in axis %s", axis)
 	}
-	hi, err := p.parseScalar("range of axis " + axis)
+	hi, err := p.parseScalar("range of axis ", axis)
 	if err != nil {
 		return nil, err
 	}
 	if hi.IsStr {
 		return nil, p.errorf(hi.Pos, "range bounds must be numbers in axis %s", axis)
 	}
-	if _, err := p.expect(TokenColon, "range of axis "+axis+" (ranges are lo..hi:step)"); err != nil {
+	if _, err := p.expect(TokenColon, "range of axis ", axis, " (ranges are lo..hi:step)"); err != nil {
 		return nil, err
 	}
-	step, err := p.parseScalar("range step of axis " + axis)
+	step, err := p.parseScalar("range step of axis ", axis)
 	if err != nil {
 		return nil, err
 	}
@@ -266,8 +269,8 @@ func (p *parser) parseRange(axis string, lo Scalar) ([]Scalar, *Error) {
 			break
 		}
 		vals = append(vals, Scalar{Pos: lo.Pos, Num: v})
-		if len(vals) > 100000 {
-			return nil, p.errorf(rangePos, "range in axis %s expands to more than 100000 points", axis)
+		if len(vals) > maxPoints {
+			return nil, p.errorf(rangePos, "range in axis %s expands to more than %d points", axis, maxPoints)
 		}
 	}
 	return vals, nil
@@ -302,7 +305,7 @@ func (p *parser) parseSweep(prog *Program) *Error {
 			ax.HasFast = true
 			continue
 		}
-		if _, err := p.expect(TokenAssign, "SWEEP axis "+name.Text); err != nil {
+		if _, err := p.expect(TokenAssign, "SWEEP axis ", name.Text); err != nil {
 			return err
 		}
 		vals, err := p.parseValueList(name.Text)
@@ -346,7 +349,7 @@ func (p *parser) parseSet(prog *Program) *Error {
 			set.FastExpr = expr
 			continue
 		}
-		if _, err := p.expect(TokenAssign, "SET knob "+name.Text); err != nil {
+		if _, err := p.expect(TokenAssign, "SET knob ", name.Text); err != nil {
 			return err
 		}
 		expr, err := p.parseExpr()
@@ -369,10 +372,10 @@ func (p *parser) parseRun(prog *Program) *Error {
 		if err := p.advance(); err != nil {
 			return err
 		}
-		if _, err := p.expect(TokenAssign, "RUN option "+name.Text); err != nil {
+		if _, err := p.expect(TokenAssign, "RUN option ", name.Text); err != nil {
 			return err
 		}
-		val, err := p.parseScalar("RUN option " + name.Text)
+		val, err := p.parseScalar("RUN option ", name.Text)
 		if err != nil {
 			return err
 		}
@@ -402,7 +405,7 @@ func (p *parser) parseTable() (*TableDecl, *Error) {
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(TokenLParen, "TABLE property "+key.Text); err != nil {
+		if _, err := p.expect(TokenLParen, "TABLE property ", key.Text); err != nil {
 			return nil, err
 		}
 		if seen[key.Text] {
@@ -411,7 +414,7 @@ func (p *parser) parseTable() (*TableDecl, *Error) {
 		seen[key.Text] = true
 		switch key.Text {
 		case "title", "xlabel", "ylabel":
-			s, err := p.expect(TokenString, "TABLE property "+key.Text)
+			s, err := p.expect(TokenString, "TABLE property ", key.Text)
 			if err != nil {
 				return nil, err
 			}
@@ -432,7 +435,7 @@ func (p *parser) parseTable() (*TableDecl, *Error) {
 		default:
 			return nil, p.errorf(key.Pos, "unknown TABLE property %q (want title, x, xlabel or ylabel)", key.Text)
 		}
-		if _, err := p.expect(TokenRParen, "TABLE property "+key.Text); err != nil {
+		if _, err := p.expect(TokenRParen, "TABLE property ", key.Text); err != nil {
 			return nil, err
 		}
 	}
@@ -500,7 +503,7 @@ func (p *parser) parseEmit() ([]SinkDecl, *Error) {
 		if err := p.advance(); err != nil { // lexes the ')'
 			return nil, err
 		}
-		if _, err := p.expect(TokenRParen, "sink "+name.Text); err != nil {
+		if _, err := p.expect(TokenRParen, "sink ", name.Text); err != nil {
 			return nil, err
 		}
 		sinks = append(sinks, SinkDecl{Name: name.Text, Pos: name.Pos, Arg: arg})
@@ -655,7 +658,7 @@ func (p *parser) parsePrimary() (*Expr, *Error) {
 					}
 				}
 			}
-			if _, err := p.expect(TokenRParen, "call of "+name.Text); err != nil {
+			if _, err := p.expect(TokenRParen, "call of ", name.Text); err != nil {
 				return nil, err
 			}
 		}
@@ -665,14 +668,14 @@ func (p *parser) parsePrimary() (*Expr, *Error) {
 			}
 			e.Kind = ExprCall
 			for {
-				key, err := p.expect(TokenIdent, "selector of "+name.Text)
+				key, err := p.expect(TokenIdent, "selector of ", name.Text)
 				if err != nil {
 					return nil, err
 				}
-				if _, err := p.expect(TokenAssign, "selector of "+name.Text); err != nil {
+				if _, err := p.expect(TokenAssign, "selector of ", name.Text); err != nil {
 					return nil, err
 				}
-				val, serr := p.parseScalar("selector of " + name.Text)
+				val, serr := p.parseScalar("selector of ", name.Text)
 				if serr != nil {
 					return nil, serr
 				}
@@ -684,7 +687,7 @@ func (p *parser) parsePrimary() (*Expr, *Error) {
 					return nil, err
 				}
 			}
-			if _, err := p.expect(TokenRBrace, "selector of "+name.Text); err != nil {
+			if _, err := p.expect(TokenRBrace, "selector of ", name.Text); err != nil {
 				return nil, err
 			}
 		}

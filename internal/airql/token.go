@@ -46,6 +46,19 @@ func (e *Error) Error() string {
 // ErrorList is the validator's collected diagnostics, in source order.
 type ErrorList []*Error
 
+// unique drops repeated diagnostics, keeping the first of each.
+func (l ErrorList) unique() ErrorList {
+	seen := make(map[Error]bool, len(l))
+	out := l[:0]
+	for _, e := range l {
+		if !seen[*e] {
+			seen[*e] = true
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
 func (l ErrorList) Error() string {
 	switch len(l) {
 	case 0:

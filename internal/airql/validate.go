@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"strings"
+
+	"github.com/airindex/airindex/internal/core"
 )
 
 // Run modes accepted by RUN mode=...
@@ -42,6 +44,10 @@ func reservedName(name string) bool {
 	return name == "fast" || inList(name, bareMetrics) || inList(name, callMetrics) || inList(name, exprFuncs)
 }
 
+// maxPoints bounds a sweep's points per profile, and so the work of
+// checking each one at compile time.
+const maxPoints = 100000
+
 // validator accumulates semantic diagnostics over a parsed program.
 type validator struct {
 	prog *Program
@@ -49,9 +55,6 @@ type validator struct {
 
 	// axisNames in declaration order; axisOf resolves a name.
 	axisNames []string
-
-	// possibleSchemes is every canonical scheme a point can take.
-	possibleSchemes []string
 
 	// constKnobs are SET knobs whose expressions are constant, per
 	// profile (NOTE interpolation vocabulary). Index 0 = full, 1 = fast.
@@ -65,16 +68,32 @@ func (v *validator) errorf(pos Pos, format string, args ...any) {
 }
 
 // Validate type-checks a parsed program against the real configuration
-// surface. It returns every diagnostic it can find, in source order.
+// surface and, once the RUN, axis and SET checks are clean, checks every
+// point the program will run with core.Config.Validate (checkPoints). It
+// returns every diagnostic it can find.
 func Validate(prog *Program) ErrorList {
 	v := newValidator(prog)
 	v.checkRuns()
 	v.checkAxes()
 	v.checkSets()
 	v.checkFaultKnobs()
-	v.checkSchemeAndRecords()
+	v.checkAttrQuery()
+	if len(v.errs) == 0 {
+		v.checkPoints()
+	}
 	v.checkTables()
 	return v.errs
+}
+
+// checkPoints builds every point of both profiles as Execute would with
+// zero Options, and reports each point core.Config.Validate rejects at
+// the position pointConfig blames, each diagnostic once.
+func (v *validator) checkPoints() {
+	var errs ErrorList
+	for _, fast := range []bool{false, true} {
+		errs = append(errs, newExecutor(v.prog, Options{Fast: fast}).pointConfigs(func(int, *core.Config) {})...)
+	}
+	v.errs = append(v.errs, errs.unique()...)
 }
 
 func newValidator(prog *Program) *validator {
@@ -178,100 +197,36 @@ func (v *validator) checkAxes() {
 			v.errorf(ax.Pos, "axis %s holds names but is not a knob; string axes must be knobs (e.g. scheme)", ax.Name)
 		}
 	}
+	for _, fast := range []bool{false, true} {
+		points := 1
+		for i := range v.prog.Axes {
+			if points *= len(axisValues(&v.prog.Axes[i], fast)); points > maxPoints {
+				v.errorf(v.prog.Axes[i].Pos, "the sweep expands to more than %d points", maxPoints)
+				return
+			}
+		}
+	}
 }
 
-// possibleSchemeStrings collects every scheme spelling a point can take
-// (axis values or SET literal), canonicalised.
-func (v *validator) checkSchemeAndRecords() {
-	if v.mode == ModeAttrQuery {
-		// The attrquery harness hard-codes its flat-vs-signature pair.
-		if ax := v.axisOf("scheme"); ax != nil {
-			v.errorf(ax.Pos, "attrquery mode runs flat and signature; the scheme cannot be swept")
-		}
-		if len(v.prog.Axes) != 1 || v.prog.Axes[0].Name != "records" {
-			pos := Pos{Line: 1, Col: 1}
-			if len(v.prog.Axes) > 0 {
-				pos = v.prog.Axes[0].Pos
-			}
-			v.errorf(pos, "attrquery mode needs exactly one axis, records")
-		}
-		if len(v.prog.Sets) > 0 {
-			v.errorf(v.prog.Sets[0].Pos, "attrquery mode takes no SET stages")
-		}
+// checkAttrQuery checks the attrquery mode's fixed shape. (That every
+// point of a simulator script has a scheme is pointConfig's to check.)
+func (v *validator) checkAttrQuery() {
+	if v.mode != ModeAttrQuery {
 		return
 	}
-
+	// The attrquery harness hard-codes its flat-vs-signature pair.
 	if ax := v.axisOf("scheme"); ax != nil {
-		for _, val := range ax.Values {
-			if c, ok := canonScheme(val.Str); ok && val.IsStr {
-				if !inList(c, v.possibleSchemes) {
-					v.possibleSchemes = append(v.possibleSchemes, c)
-				}
-			}
-		}
-		for _, val := range ax.Fast {
-			if c, ok := canonScheme(val.Str); ok && val.IsStr {
-				if !inList(c, v.possibleSchemes) {
-					v.possibleSchemes = append(v.possibleSchemes, c)
-				}
-			}
-		}
+		v.errorf(ax.Pos, "attrquery mode runs flat and signature; the scheme cannot be swept")
 	}
-	hasScheme := v.axisOf("scheme") != nil
-	for _, set := range v.prog.Sets {
-		kn := lookupKnob(set.Knob)
-		if kn == nil || kn.name != "scheme" {
-			continue
+	if len(v.prog.Axes) != 1 || v.prog.Axes[0].Name != "records" {
+		pos := Pos{Line: 1, Col: 1}
+		if len(v.prog.Axes) > 0 {
+			pos = v.prog.Axes[0].Pos
 		}
-		hasScheme = true
-		for _, e := range []*Expr{set.Expr, set.FastExpr} {
-			if e == nil {
-				continue
-			}
-			if s, ok := schemeLiteral(e); ok {
-				if c, ok := canonScheme(s); ok && !inList(c, v.possibleSchemes) {
-					v.possibleSchemes = append(v.possibleSchemes, c)
-				}
-			}
-		}
+		v.errorf(pos, "attrquery mode needs exactly one axis, records")
 	}
-	if !hasScheme {
-		v.errorf(Pos{Line: 1, Col: 1}, "script never sets the scheme (SWEEP scheme=... or SET scheme=...)")
-	}
-
-	// Scheme-incompatible knobs: every scheme the script can run must
-	// accept every restricted knob it sets.
-	checkCompat := func(kn *knob, pos Pos) {
-		if kn == nil || kn.schemes == nil {
-			return
-		}
-		for _, s := range v.possibleSchemes {
-			if !kn.compatibleWith(s) {
-				v.errorf(pos, "knob %s applies only to %s, but the script also runs scheme %q",
-					kn.name, strings.Join(kn.schemes, "/"), s)
-			}
-		}
-	}
-	for i := range v.prog.Axes {
-		checkCompat(lookupKnob(v.prog.Axes[i].Name), v.prog.Axes[i].Pos)
-	}
-	for i := range v.prog.Sets {
-		checkCompat(lookupKnob(v.prog.Sets[i].Knob), v.prog.Sets[i].Pos)
-	}
-}
-
-// schemeLiteral extracts the scheme spelling of a SET scheme expression:
-// a quoted string or a bare identifier that is not an axis.
-func schemeLiteral(e *Expr) (string, bool) {
-	switch e.Kind {
-	case ExprStr:
-		return e.Str, true
-	case ExprVar:
-		return e.Name, true
-	case ExprNum, ExprCall, ExprOp:
-		return "", false
-	default:
-		return "", false
+	if len(v.prog.Sets) > 0 {
+		v.errorf(v.prog.Sets[0].Pos, "attrquery mode takes no SET stages")
 	}
 }
 
@@ -386,6 +341,7 @@ type exprScope struct {
 	noteMode     bool
 	knob         *knob // SET target, for unit errors
 	table        *TableDecl
+	xAxis        string // the table's x axis, when its x expression has one
 }
 
 // exprInfo is the static shape of a checked expression.
@@ -645,11 +601,8 @@ func (v *validator) checkMetric(e *Expr, sc exprScope) {
 	// actually takes, and together with the x axis and single-valued
 	// axes they must pin every axis to one point.
 	pinned := map[string]bool{}
-	if sc.table != nil && sc.table.XExpr != nil {
-		xi := v.checkedXAxis(sc.table)
-		if xi != "" {
-			pinned[xi] = true
-		}
+	if sc.xAxis != "" {
+		pinned[sc.xAxis] = true
 	}
 	for i := range v.prog.Axes {
 		ax := &v.prog.Axes[i]
@@ -663,7 +616,7 @@ func (v *validator) checkMetric(e *Expr, sc exprScope) {
 			v.errorf(s.Pos, "selector key %q is not an axis", s.Key)
 			continue
 		}
-		if pinned[s.Key] && v.checkedXAxis(sc.table) == s.Key {
+		if s.Key == sc.xAxis {
 			v.errorf(s.Pos, "selector pins %s, which is the table's x axis", s.Key)
 			continue
 		}
@@ -697,25 +650,6 @@ func scalarsEqual(a, b Scalar) bool {
 		return a.Str == b.Str
 	}
 	return math.Float64bits(a.Num) == math.Float64bits(b.Num)
-}
-
-// checkedXAxis returns the single axis a table's x expression references
-// ("" while diagnostics are pending).
-func (v *validator) checkedXAxis(t *TableDecl) string {
-	if t == nil || t.XExpr == nil {
-		return ""
-	}
-	info := v.collectRefs(t.XExpr)
-	if len(info) == 1 {
-		return info[0]
-	}
-	return ""
-}
-
-// collectRefs lists axis references of an expression without emitting
-// diagnostics (used after the expression was already checked).
-func (v *validator) collectRefs(e *Expr) []string {
-	return exprAxisRefs(v.prog, e)
 }
 
 func (v *validator) checkTables() {
@@ -760,6 +694,10 @@ func (v *validator) checkTable(t *TableDecl) {
 	if len(info.axisRefs) != 1 {
 		v.errorf(t.XExpr.Pos, "table %s: the x expression must reference exactly one axis, found %d", t.ID, len(info.axisRefs))
 	}
+	xAxis := ""
+	if refs := exprAxisRefs(v.prog, t.XExpr); len(refs) == 1 {
+		xAxis = refs[0]
+	}
 	if len(t.Cols) == 0 {
 		v.errorf(t.Pos, "table %s has no COL stages", t.ID)
 	}
@@ -770,7 +708,7 @@ func (v *validator) checkTable(t *TableDecl) {
 			v.errorf(col.Pos, "table %s: duplicate column %q", t.ID, col.Label)
 		}
 		colSeen[col.Label] = true
-		ci := v.checkExpr(col.Expr, exprScope{allowAxes: true, allowMetrics: true, table: t})
+		ci := v.checkExpr(col.Expr, exprScope{allowAxes: true, allowMetrics: true, table: t, xAxis: xAxis})
 		if ci.isStr {
 			v.errorf(col.Expr.Pos, "table %s: column %q must be numeric", t.ID, col.Label)
 		}

@@ -48,7 +48,7 @@ EMIT csv(results/t.csv)
 			`t.airql:1:1: script has no TABLE and no EMIT; it would compute nothing`,
 		}},
 		{"out of range", `SET scheme=flat availability=2`, []string{
-			`t.airql:1:30: knob availability: value 2 above maximum 1`,
+			`t.airql:1:30: core: availability 2 outside [0,1]`,
 			`t.airql:1:1: script has no TABLE and no EMIT; it would compute nothing`,
 		}},
 		{"not a finite number", `SET scheme=flat requestmean=0/0`, []string{
@@ -62,6 +62,88 @@ EMIT csv(results/t.csv)
 		{"scheme-incompatible knob", `SET scheme=flat dist.r=2`, []string{
 			`t.airql:1:17: knob dist.r applies only to distributed, but the script also runs scheme "flat"`,
 			`t.airql:1:1: script has no TABLE and no EMIT; it would compute nothing`,
+		}},
+		{"zipf workload on one record", `
+SWEEP records=1
+SET scheme=flat zipfs=2
+TABLE t x(records)
+COL "a" mean(access)
+`, []string{
+			"t.airql:3:23: core: zipf workload (s=2) needs at least 2 records, have 1: rank generation is undefined for a single record",
+		}},
+		{"serial scheme with unbounded retries", `
+SWEEP records=1000,2000
+SET scheme=flat availability=0.5 fault.rate=0.01
+TABLE t x(records)
+COL "a" mean(access)
+`, []string{
+			"t.airql:3:45: core: scheme \"flat\" is serial (concludes absence only after a full clean pass); with faults enabled and availability 0.5 < 1, unbounded retries (Faults.MaxRetries=0) may never terminate on a missing key — set Faults.MaxRetries",
+		}},
+		{"indexdata without a data channel", `
+SWEEP records=1000,2000
+SET scheme=onem multi.channels=2 multi.policy=indexdata multi.indexchannels=2
+TABLE t x(records)
+COL "a" mean(access)
+`, []string{
+			"t.airql:3:77: multichannel: indexdata with 2 index channels needs at least 3 channels total (have 2); leave one data channel",
+		}},
+		{"bits per field beyond the signature", `
+SWEEP records=1000,2000
+SET scheme=sig signature.sigbytes=4 signature.bits=40
+TABLE t x(records)
+COL "a" mean(access)
+`, []string{
+			"t.airql:3:52: signature: BitsPerField 40 exceeds signature bits 32",
+		}},
+		{"hashing load below one", `
+SWEEP records=1000,2000
+SET scheme=hash hashing.load=0.5
+TABLE t x(records)
+COL "a" mean(access)
+`, []string{
+			"t.airql:3:30: hashing: LoadFactor 0.5 must be at least 1",
+		}},
+		{"record no wider than its key", `
+SWEEP records=1000,2000
+SET scheme=flat data.recordbytes=10
+TABLE t x(records)
+COL "a" mean(access)
+`, []string{
+			"t.airql:3:34: datagen: RecordSize 10 must exceed KeySize 25",
+		}},
+		{"switch cost on one channel", `
+SWEEP records=1000,2000
+SET scheme=flat multi.switchcost=64
+TABLE t x(records)
+COL "a" mean(access)
+`, []string{
+			"t.airql:3:34: multichannel: switch cost 64 set but channels is 0; set Channels to enable the subsystem",
+		}},
+		{"invalid point blamed on the axis value", `
+SET scheme=flat
+SWEEP records=1000,2000
+SWEEP avail=0.5,1 faultrate=0,0.01
+TABLE t x(records)
+COL "a" mean(access){avail=1,faultrate=0}
+`, []string{
+			"t.airql:4:31: core: scheme \"flat\" is serial (concludes absence only after a full clean pass); with faults enabled and availability 0.5 < 1, unbounded retries (Faults.MaxRetries=0) may never terminate on a missing key — set Faults.MaxRetries",
+		}},
+		{"computed value carries the file", `
+SET scheme=onem
+SWEEP records=1200
+SET onem.m=records/7
+TABLE t x(records)
+COL "a" mean(access)
+`, []string{
+			"t.airql:4:19: knob onem.m takes an integer, not 171.42857142857142 (computed value)",
+		}},
+		{"sweep too large to check", `
+SET scheme=flat
+SWEEP records=1..1000:1 zipfs=0..999:1
+TABLE t x(records)
+COL "a" mean(access){zipfs=0}
+`, []string{
+			"t.airql:3:25: the sweep expands to more than 100000 points",
 		}},
 		{"never sets the scheme", `
 SWEEP records=1000,2000

@@ -146,9 +146,12 @@ func DefaultConfig(scheme string, records int) Config {
 	}
 }
 
-// Validate reports whether the configuration is runnable.
+// Validate reports whether the configuration is runnable, the active
+// scheme's options included; range checks that need the dataset, such
+// as (1,m)'s m against the record count, stay in the scheme's Build.
 func (c Config) Validate() error {
-	if !hasScheme(c.Scheme) {
+	s, ok := lookupScheme(c.Scheme)
+	if !ok {
 		return fmt.Errorf("core: unknown scheme %q (have %v)", c.Scheme, SchemeNames())
 	}
 	if err := c.Data.Validate(); err != nil {
@@ -184,6 +187,11 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: shards %d exceeds max requests %d; every shard needs at least one request of budget", c.Shards, c.MaxRequests)
 	case !(0 <= c.DozePowerRatio && c.DozePowerRatio <= 1):
 		return fmt.Errorf("core: doze power ratio %v outside [0,1]", c.DozePowerRatio)
+	}
+	if s.options != nil {
+		if err := s.options(c); err != nil {
+			return err
+		}
 	}
 	if err := c.Faults.Validate(); err != nil {
 		return err

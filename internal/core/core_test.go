@@ -249,6 +249,44 @@ func TestBitErrorInjectionCausesRestartsAndSlowdown(t *testing.T) {
 	}
 }
 
+// TestValidateChecksActiveSchemeOptions: Validate runs the options check
+// of the configured scheme, and only of that scheme.
+func TestValidateChecksActiveSchemeOptions(t *testing.T) {
+	for _, c := range []struct {
+		scheme string
+		bad    func(*Config)
+	}{
+		{"(1,m)", func(c *Config) { c.Onem.M = -1 }},
+		{"hashing", func(c *Config) { c.Hashing.LoadFactor = 0.5 }},
+		{"signature", func(c *Config) { c.Signature.BitsPerField = c.Signature.SigBytes*8 + 1 }},
+		{"signature-integrated", func(c *Config) { c.Signature.GroupSize = 0 }},
+		{"signature-multilevel", func(c *Config) { c.Signature.GroupSigBytes = 0 }},
+		{"hybrid", func(c *Config) { c.Hybrid.GroupSize = 0 }},
+		{"broadcast-disks", func(c *Config) { c.Bdisk.RelFreq = nil }},
+	} {
+		cfg := DefaultConfig(c.scheme, 100)
+		c.bad(&cfg)
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted invalid options", c.scheme)
+		}
+		cfg.Scheme = "flat"
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("flat rejected %s's options: %v", c.scheme, err)
+		}
+	}
+}
+
+// TestRunOneErrorPrefixOnce: RunOne hands back Validate's error as it
+// is, so its package prefix appears once.
+func TestRunOneErrorPrefixOnce(t *testing.T) {
+	cfg := DefaultConfig("flat", 100)
+	cfg.Availability = 2
+	_, err := RunOne(cfg)
+	if err == nil || err.Error() != "core: availability 2 outside [0,1]" {
+		t.Fatalf("got %v, want core: availability 2 outside [0,1]", err)
+	}
+}
+
 func TestRunOneRejectsBadConfig(t *testing.T) {
 	cfg := DefaultConfig("flat", 100)
 	cfg.Scheme = "bogus"

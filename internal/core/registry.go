@@ -22,38 +22,47 @@ import (
 // Simulator.
 type Builder func(ds *datagen.Dataset, cfg Config) (access.Broadcast, error)
 
+// scheme is one registered access method: its builder and, for the
+// built-ins, the check of its options that Config.Validate runs.
+type scheme struct {
+	build   Builder
+	options func(Config) error
+}
+
 var (
 	registryMu sync.RWMutex
-	builders   = map[string]Builder{
-		flat.Name: func(ds *datagen.Dataset, _ Config) (access.Broadcast, error) {
+	builders   = map[string]scheme{
+		flat.Name: {build: func(ds *datagen.Dataset, _ Config) (access.Broadcast, error) {
 			return flat.Build(ds)
-		},
-		onem.Name: func(ds *datagen.Dataset, cfg Config) (access.Broadcast, error) {
+		}},
+		onem.Name: {build: func(ds *datagen.Dataset, cfg Config) (access.Broadcast, error) {
 			return onem.Build(ds, cfg.Onem)
-		},
-		dist.Name: func(ds *datagen.Dataset, cfg Config) (access.Broadcast, error) {
+		}, options: func(cfg Config) error { return cfg.Onem.Validate() }},
+		dist.Name: {build: func(ds *datagen.Dataset, cfg Config) (access.Broadcast, error) {
 			return dist.Build(ds, cfg.Dist)
-		},
-		hashing.Name: func(ds *datagen.Dataset, cfg Config) (access.Broadcast, error) {
+		}},
+		hashing.Name: {build: func(ds *datagen.Dataset, cfg Config) (access.Broadcast, error) {
 			return hashing.Build(ds, cfg.Hashing)
-		},
-		signature.Name: func(ds *datagen.Dataset, cfg Config) (access.Broadcast, error) {
+		}, options: func(cfg Config) error { return cfg.Hashing.Validate() }},
+		signature.Name: {build: func(ds *datagen.Dataset, cfg Config) (access.Broadcast, error) {
 			return signature.Build(ds, cfg.Signature)
-		},
-		signature.IntegratedName: func(ds *datagen.Dataset, cfg Config) (access.Broadcast, error) {
+		}, options: signatureOptions},
+		signature.IntegratedName: {build: func(ds *datagen.Dataset, cfg Config) (access.Broadcast, error) {
 			return signature.BuildIntegrated(ds, cfg.Signature)
-		},
-		signature.MultiLevelName: func(ds *datagen.Dataset, cfg Config) (access.Broadcast, error) {
+		}, options: signatureOptions},
+		signature.MultiLevelName: {build: func(ds *datagen.Dataset, cfg Config) (access.Broadcast, error) {
 			return signature.BuildMultiLevel(ds, cfg.Signature)
-		},
-		hybrid.Name: func(ds *datagen.Dataset, cfg Config) (access.Broadcast, error) {
+		}, options: signatureOptions},
+		hybrid.Name: {build: func(ds *datagen.Dataset, cfg Config) (access.Broadcast, error) {
 			return hybrid.Build(ds, cfg.Hybrid)
-		},
-		bdisk.Name: func(ds *datagen.Dataset, cfg Config) (access.Broadcast, error) {
+		}, options: func(cfg Config) error { return cfg.Hybrid.Validate() }},
+		bdisk.Name: {build: func(ds *datagen.Dataset, cfg Config) (access.Broadcast, error) {
 			return bdisk.Build(ds, cfg.Bdisk)
-		},
+		}, options: func(cfg Config) error { return cfg.Bdisk.Validate() }},
 	}
 )
+
+func signatureOptions(cfg Config) error { return cfg.Signature.Validate() }
 
 // Register adds a new access method to the testbed. It fails on duplicate
 // or empty names.
@@ -66,16 +75,16 @@ func Register(name string, b Builder) error {
 	if _, dup := builders[name]; dup {
 		return fmt.Errorf("core: scheme %q already registered", name)
 	}
-	builders[name] = b
+	builders[name] = scheme{build: b}
 	return nil
 }
 
-// hasScheme reports whether a scheme name is registered.
-func hasScheme(name string) bool {
+// lookupScheme returns a registered scheme by name.
+func lookupScheme(name string) (scheme, bool) {
 	registryMu.RLock()
-	defer registryMu.RUnlock()
-	_, ok := builders[name]
-	return ok
+	s, ok := builders[name]
+	registryMu.RUnlock()
+	return s, ok
 }
 
 // SchemeNames lists the registered access methods, sorted.
@@ -92,11 +101,9 @@ func SchemeNames() []string {
 
 // BuildBroadcast constructs the broadcast for a configuration.
 func BuildBroadcast(ds *datagen.Dataset, cfg Config) (access.Broadcast, error) {
-	registryMu.RLock()
-	b, ok := builders[cfg.Scheme]
-	registryMu.RUnlock()
+	s, ok := lookupScheme(cfg.Scheme)
 	if !ok {
 		return nil, fmt.Errorf("core: unknown scheme %q", cfg.Scheme)
 	}
-	return b(ds, cfg)
+	return s.build(ds, cfg)
 }

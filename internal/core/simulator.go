@@ -205,7 +205,7 @@ func (s *Simulator) walk(st *stream, newClient func() access.Client, arrival sim
 func RunOne(cfg Config) (*Result, error) {
 	s, err := New(cfg)
 	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+		return nil, err
 	}
 	return s.Run()
 }

@@ -38,6 +38,15 @@ type Options struct {
 // DefaultOptions selects the optimal m.
 func DefaultOptions() Options { return Options{} }
 
+// Validate reports whether the options are usable; Build checks m
+// against the record count.
+func (o Options) Validate() error {
+	if o.M < 0 {
+		return fmt.Errorf("onem: M %d must be non-negative (0 selects the optimal m)", o.M)
+	}
+	return nil
+}
+
 // Broadcast is a (1,m)-indexed broadcast cycle.
 type Broadcast struct {
 	ds     *datagen.Dataset

@@ -188,3 +188,14 @@ func TestAccessFromEveryArrivalBucket(t *testing.T) {
 		}
 	}
 }
+
+func TestOptionsValidate(t *testing.T) {
+	for _, m := range []int{0, 1, 100} {
+		if err := (Options{M: m}).Validate(); err != nil {
+			t.Errorf("M=%d rejected: %v", m, err)
+		}
+	}
+	if err := (Options{M: -1}).Validate(); err == nil {
+		t.Error("M=-1 accepted")
+	}
+}
