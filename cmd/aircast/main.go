@@ -29,9 +29,7 @@ import (
 	"github.com/airindex/airindex/internal/core"
 	"github.com/airindex/airindex/internal/datagen"
 	"github.com/airindex/airindex/internal/faults"
-	"github.com/airindex/airindex/internal/schemes/dist"
-	"github.com/airindex/airindex/internal/schemes/hashing"
-	"github.com/airindex/airindex/internal/schemes/onem"
+	"github.com/airindex/airindex/internal/schemes/flat"
 )
 
 func main() {
@@ -44,7 +42,7 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("aircast", flag.ContinueOnError)
 	fs.SetOutput(out)
-	scheme := fs.String("scheme", "flat", `broadcast scheme: flat, "(1,m)", distributed, hashing, signature`)
+	scheme := fs.String("scheme", flat.Name, "broadcast scheme: "+strings.Join(airborne.Schemes(), ", "))
 	records := fs.Int("records", 1000, "records in the broadcast image")
 	seed := fs.Int64("seed", 1, "dataset seed; the image is a pure function of (scheme, records, seed)")
 	rate := fs.Int64("rate", 1<<20, "broadcast bandwidth in bytes/sec (0 = unpaced)")
@@ -103,22 +101,7 @@ func buildProgram(scheme string, records int, seed int64) (access.Broadcast, *da
 	if err != nil {
 		return nil, nil, aircast.Program{}, err
 	}
-	c := airborne.Contract{
-		RecordSize:   cfg.Data.RecordSize,
-		KeySize:      cfg.Data.KeySize,
-		NumRecords:   cfg.Data.NumRecords,
-		SigBytes:     cfg.Signature.SigBytes,
-		BitsPerField: cfg.Signature.BitsPerField,
-	}
-	switch b := bc.(type) {
-	case *dist.Broadcast:
-		c.TreeLayout = b.Layout()
-	case *onem.Broadcast:
-		c.TreeLayout = b.Layout()
-	case *hashing.Broadcast:
-		c.HashPositions = int(b.Params()["Na"])
-	}
-	return bc, ds, aircast.Program{Scheme: scheme, Contract: c}, nil
+	return bc, ds, aircast.Program{Scheme: scheme, Contract: airborne.ContractFor(cfg.Data, bc)}, nil
 }
 
 // runDaemon serves until SIGINT/SIGTERM.

@@ -32,6 +32,7 @@ import (
 
 	"github.com/airindex/airindex/internal/access"
 	"github.com/airindex/airindex/internal/core"
+	"github.com/airindex/airindex/internal/schemes/flat"
 	"github.com/airindex/airindex/internal/sim"
 )
 
@@ -40,7 +41,7 @@ import (
 // loop's full bucket-by-bucket walks; the request counts are sized so
 // setup cost is amortised for each side at its own speed.
 const (
-	gateScheme       = "flat"
+	gateScheme       = flat.Name
 	gateRecords      = 2000
 	gateSeed         = 42
 	gateRefRequests  = 40000

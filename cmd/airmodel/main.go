@@ -1,7 +1,7 @@
 // Command airmodel prints the paper's analytical model curves (§2) without
 // running any simulation: access time and tuning time in bytes for each
 // scheme over a record-count sweep. Each point builds the real broadcast
-// and evaluates airql.Analytic on its layout, so the curves are the (A)
+// and evaluates core.Analytic on its layout, so the curves are the (A)
 // columns of the Figure 4 tables. Useful for sanity-checking simulation
 // output and for exploring parameter choices quickly.
 //
@@ -89,7 +89,7 @@ func run(args []string, out io.Writer) error {
 			if err != nil {
 				return err
 			}
-			at, tt := airql.Analytic(cfg, &core.Result{CycleBytes: bc.Channel().CycleLen(), Params: bc.Params()})
+			at, tt := core.Analytic(cfg, bc.Params())
 			fmt.Fprintf(w, "%.0f\t%.0f\t", at, tt)
 		}
 		fmt.Fprintln(w)

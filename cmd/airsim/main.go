@@ -31,6 +31,7 @@ import (
 
 	"github.com/airindex/airindex/internal/airql"
 	"github.com/airindex/airindex/internal/core"
+	"github.com/airindex/airindex/internal/schemes/dist"
 )
 
 func main() {
@@ -42,7 +43,7 @@ func main() {
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("airsim", flag.ContinueOnError)
-	scheme := fs.String("scheme", "distributed", "access method: "+strings.Join(core.SchemeNames(), ", "))
+	scheme := fs.String("scheme", dist.Name, "access method: "+strings.Join(core.SchemeNames(), ", "))
 	records := fs.Int("records", 17500, "number of broadcast records")
 	seed := fs.Int64("seed", 42, "random seed")
 	shards := fs.Int("shards", 1, "request-stream shards; the result depends on (seed, shards) only")

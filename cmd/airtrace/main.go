@@ -19,6 +19,7 @@ import (
 
 	"github.com/airindex/airindex/internal/core"
 	"github.com/airindex/airindex/internal/datagen"
+	"github.com/airindex/airindex/internal/schemes/dist"
 	"github.com/airindex/airindex/internal/sim"
 	"github.com/airindex/airindex/internal/trace"
 )
@@ -32,7 +33,7 @@ func main() {
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("airtrace", flag.ContinueOnError)
-	scheme := fs.String("scheme", "distributed", "access method: "+strings.Join(core.SchemeNames(), ", "))
+	scheme := fs.String("scheme", dist.Name, "access method: "+strings.Join(core.SchemeNames(), ", "))
 	records := fs.Int("records", 2000, "number of broadcast records")
 	pick := fs.Int("pick", -1, "record index to query (-1 = middle)")
 	missing := fs.Bool("missing", false, "query a key that is not broadcast")

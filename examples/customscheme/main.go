@@ -98,13 +98,13 @@ func (c *ipClient) OnBucket(i units.BucketIndex, end sim.Time) access.Step {
 }
 
 func main() {
-	err := core.Register(schemeName, func(ds *datagen.Dataset, _ core.Config) (access.Broadcast, error) {
+	err := core.Register(core.Scheme{Name: schemeName, Build: func(ds *datagen.Dataset, _ core.Config) (access.Broadcast, error) {
 		fb, err := flat.Build(ds)
 		if err != nil {
 			return nil, err
 		}
 		return &interpolation{Broadcast: fb, ds: ds}, nil
-	})
+	}})
 	if err != nil {
 		log.Fatal(err)
 	}

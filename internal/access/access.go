@@ -67,8 +67,8 @@ type Client interface {
 // Broadcast couples one constructed broadcast cycle with its access
 // protocol. Implementations live in internal/schemes.
 type Broadcast interface {
-	// Name identifies the scheme ("flat", "(1,m)", "distributed",
-	// "hashing", "signature").
+	// Name identifies the scheme: its name in the core registry
+	// (core.SchemeNames lists them).
 	Name() string
 	// Channel returns the constructed broadcast cycle.
 	Channel() *channel.Channel

@@ -18,6 +18,11 @@ import (
 	"github.com/airindex/airindex/internal/access"
 	"github.com/airindex/airindex/internal/channel"
 	"github.com/airindex/airindex/internal/datagen"
+	"github.com/airindex/airindex/internal/schemes/dist"
+	"github.com/airindex/airindex/internal/schemes/flat"
+	"github.com/airindex/airindex/internal/schemes/hashing"
+	"github.com/airindex/airindex/internal/schemes/onem"
+	"github.com/airindex/airindex/internal/schemes/signature"
 	"github.com/airindex/airindex/internal/schemes/treeidx"
 	"github.com/airindex/airindex/internal/units"
 	"github.com/airindex/airindex/internal/wire"
@@ -81,29 +86,55 @@ func (e *Bytes) Of(i units.BucketIndex) []byte {
 // NumBuckets returns the cycle's bucket count.
 func (e *Bytes) NumBuckets() units.BucketCount { return e.ch.NumBuckets() }
 
-// NewClient returns a byte-driven client for the named paper scheme. The
-// supported names are flat, (1,m), distributed, hashing and signature.
-func NewClient(scheme string, bytes Source, c Contract, key uint64) (access.Client, error) {
-	switch scheme {
-	case "flat":
-		return newFlatClient(bytes, c, key), nil
-	case "(1,m)", "distributed":
-		return newTreeClient(bytes, c, key), nil
-	case "hashing":
-		return newHashClient(bytes, c, key), nil
-	case "signature":
-		return newSigClient(bytes, c, key), nil
-	default:
-		return nil, fmt.Errorf("airborne: no byte-driven client for scheme %q", scheme)
-	}
+// clients is the byte-driven client table: the schemes whose broadcast
+// formats a receiver can walk from the bytes alone.
+var clients = []struct {
+	scheme string
+	new    func(b Source, c Contract, key uint64) access.Client
+}{
+	{flat.Name, func(b Source, c Contract, key uint64) access.Client { return newFlatClient(b, c, key) }},
+	{onem.Name, func(b Source, c Contract, key uint64) access.Client { return newTreeClient(b, c, key) }},
+	{dist.Name, func(b Source, c Contract, key uint64) access.Client { return newTreeClient(b, c, key) }},
+	{hashing.Name, func(b Source, c Contract, key uint64) access.Client { return newHashClient(b, c, key) }},
+	{signature.Name, func(b Source, c Contract, key uint64) access.Client { return newSigClient(b, c, key) }},
 }
 
-// decodeKeyAt parses a fixed-width key field at the given offset.
-func decodeKeyAt(p []byte, off, width int) (uint64, error) {
-	if off+width > len(p) {
-		return 0, fmt.Errorf("airborne: bucket too short for key at %d", off)
+// Schemes lists the schemes NewClient has a byte-driven client for.
+func Schemes() []string {
+	names := make([]string, len(clients))
+	for i, c := range clients {
+		names[i] = c.scheme
 	}
-	return datagen.DecodeKey(p[off : off+width])
+	return names
+}
+
+// NewClient returns a byte-driven client for the named scheme, one of
+// Schemes.
+func NewClient(scheme string, bytes Source, c Contract, key uint64) (access.Client, error) {
+	for _, cl := range clients {
+		if cl.scheme == scheme {
+			return cl.new(bytes, c, key), nil
+		}
+	}
+	return nil, fmt.Errorf("airborne: no byte-driven client for scheme %q", scheme)
+}
+
+// ContractFor returns a built broadcast's service contract: the data
+// geometry, and the tree layout, Na and signature parameters it has.
+func ContractFor(data datagen.Config, bc access.Broadcast) Contract {
+	p := bc.Params()
+	c := Contract{
+		RecordSize:    data.RecordSize,
+		KeySize:       data.KeySize,
+		NumRecords:    data.NumRecords,
+		HashPositions: int(p["Na"]),
+		SigBytes:      int(p["sig_bytes"]),
+		BitsPerField:  int(p["bits_per_field"]),
+	}
+	if t, ok := bc.(interface{ Layout() treeidx.Layout }); ok {
+		c.TreeLayout = t.Layout()
+	}
+	return c
 }
 
 // header decodes the common bucket prefix.

@@ -7,9 +7,6 @@ import (
 	"github.com/airindex/airindex/internal/access"
 	"github.com/airindex/airindex/internal/core"
 	"github.com/airindex/airindex/internal/datagen"
-	"github.com/airindex/airindex/internal/schemes/dist"
-	"github.com/airindex/airindex/internal/schemes/hashing"
-	"github.com/airindex/airindex/internal/schemes/onem"
 	"github.com/airindex/airindex/internal/sim"
 	"github.com/airindex/airindex/internal/units"
 )
@@ -33,22 +30,7 @@ func newHarness(t *testing.T, scheme string, records int) *harness {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := Contract{
-		RecordSize:   cfg.Data.RecordSize,
-		KeySize:      cfg.Data.KeySize,
-		NumRecords:   cfg.Data.NumRecords,
-		SigBytes:     cfg.Signature.SigBytes,
-		BitsPerField: cfg.Signature.BitsPerField,
-	}
-	switch b := bc.(type) {
-	case *dist.Broadcast:
-		c.TreeLayout = b.Layout()
-	case *onem.Broadcast:
-		c.TreeLayout = b.Layout()
-	case *hashing.Broadcast:
-		c.HashPositions = int(b.Params()["Na"])
-	}
-	return &harness{ds: ds, bc: bc, bytes: NewBytes(bc.Channel()), c: c}
+	return &harness{ds: ds, bc: bc, bytes: NewBytes(bc.Channel()), c: ContractFor(cfg.Data, bc)}
 }
 
 func (h *harness) airborneWalk(t *testing.T, scheme string, key uint64, arrival sim.Time) access.Result {

@@ -137,8 +137,8 @@ func (c Config) Validate() error {
 // reconstruct the byte-clock from datagram headers. Everything else
 // comes off the wire.
 type Program struct {
-	// Scheme is the airborne scheme name ("flat", "(1,m)", "distributed",
-	// "hashing", "signature").
+	// Scheme is the broadcast's scheme name, one that has a byte-driven
+	// client (airborne.Schemes lists them).
 	Scheme string
 	// Contract is the byte-driven clients' service contract.
 	Contract airborne.Contract

@@ -13,9 +13,6 @@ import (
 	"github.com/airindex/airindex/internal/aircast"
 	"github.com/airindex/airindex/internal/core"
 	"github.com/airindex/airindex/internal/datagen"
-	"github.com/airindex/airindex/internal/schemes/dist"
-	"github.com/airindex/airindex/internal/schemes/hashing"
-	"github.com/airindex/airindex/internal/schemes/onem"
 	"github.com/airindex/airindex/internal/units"
 )
 
@@ -35,22 +32,7 @@ func buildHarness(t testing.TB, scheme string, records int, seed int64) (access.
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := airborne.Contract{
-		RecordSize:   cfg.Data.RecordSize,
-		KeySize:      cfg.Data.KeySize,
-		NumRecords:   cfg.Data.NumRecords,
-		SigBytes:     cfg.Signature.SigBytes,
-		BitsPerField: cfg.Signature.BitsPerField,
-	}
-	switch b := bc.(type) {
-	case *dist.Broadcast:
-		c.TreeLayout = b.Layout()
-	case *onem.Broadcast:
-		c.TreeLayout = b.Layout()
-	case *hashing.Broadcast:
-		c.HashPositions = int(b.Params()["Na"])
-	}
-	return bc, ds, aircast.Program{Scheme: scheme, Contract: c}
+	return bc, ds, aircast.Program{Scheme: scheme, Contract: airborne.ContractFor(cfg.Data, bc)}
 }
 
 // predict replays the request in the byte-clock simulator: the same

@@ -6,6 +6,7 @@ import (
 	"github.com/airindex/airindex/internal/access"
 	"github.com/airindex/airindex/internal/core"
 	"github.com/airindex/airindex/internal/datagen"
+	"github.com/airindex/airindex/internal/schemes/flat"
 	"github.com/airindex/airindex/internal/sim"
 )
 
@@ -31,7 +32,7 @@ func (ex *executor) runAttrQuery() error {
 	for ri, sigCfg := range ex.cfgs {
 		n := sigCfg.Data.NumRecords
 		cfg := sigCfg
-		cfg.Scheme = "flat"
+		cfg.Scheme = flat.Name
 		ds, err := datagen.Generate(cfg.Data)
 		if err != nil {
 			return err

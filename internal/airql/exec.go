@@ -6,9 +6,12 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"github.com/airindex/airindex/internal/core"
+	"github.com/airindex/airindex/internal/schemes/flat"
+	"github.com/airindex/airindex/internal/schemes/signature"
 )
 
 // axisRT is one sweep axis resolved under the active profile.
@@ -29,14 +32,16 @@ type executor struct {
 
 	cfgs []core.Config
 	// base is every point's config before its scheme and knobs (the
-	// profile's DefaultConfig, which depends on the scheme only by name);
-	// steps and pf are pointConfig's scratch.
-	base    core.Config
-	steps   []Setting
-	pf      pointFaults
-	results []*core.Result
-	attrs   []attrRow // attrquery mode: one row per records value
-	mode    string
+	// profile's DefaultConfig, which depends on the scheme only by name,
+	// so flat's serves); steps and pf are pointConfig's scratch.
+	base  core.Config
+	steps []Setting
+	pf    pointFaults
+	// shardsErr is an invalid shard count, which every point would fail.
+	shardsErr *Error
+	results   []*core.Result
+	attrs     []attrRow // attrquery mode: one row per records value
+	mode      string
 }
 
 // Execute compiles nothing new — the program must have passed Validate —
@@ -103,6 +108,7 @@ func check(prog *Program, opt Options) (*executor, error) {
 // active profile.
 func newExecutor(prog *Program, opt Options) *executor {
 	mode := ModeSim
+	shardsFile, shardsPos := "-shards", Pos{}
 	for _, r := range prog.Runs {
 		switch r.Key {
 		case "seed":
@@ -112,13 +118,21 @@ func newExecutor(prog *Program, opt Options) *executor {
 		case "shards":
 			if opt.Shards == 0 {
 				opt.Shards = int(r.Val.Num)
+				shardsFile, shardsPos = prog.File, r.Val.Pos
 			}
 		case "mode":
 			mode = r.Val.Str
 		}
 	}
 
-	ex := &executor{prog: prog, opt: opt, mode: mode, base: opt.profileConfig("", opt.ComparisonRecords())}
+	ex := &executor{prog: prog, opt: opt, mode: mode, base: opt.profileConfig(flat.Name, opt.ComparisonRecords())}
+	if opt.Shards != 0 {
+		// The profile's base is otherwise valid, so Validate speaks only
+		// to the shard count.
+		if err := ex.base.Validate(); err != nil {
+			ex.shardsErr = &Error{File: shardsFile, Pos: shardsPos, Msg: err.Error()}
+		}
+	}
 	for i := range prog.Axes {
 		decl := &prog.Axes[i]
 		ex.axes = append(ex.axes, axisRT{
@@ -138,8 +152,12 @@ func newExecutor(prog *Program, opt Options) *executor {
 
 // pointConfigs builds every sweep point's config in linear-index order
 // and hands each one that passes its check to visit. It returns the
-// diagnostics of the points that fail, each one once.
+// diagnostics of the points that fail, each one once; an invalid shard
+// count is reported once, before any point is built.
 func (ex *executor) pointConfigs(visit func(li int, cfg *core.Config)) ErrorList {
+	if ex.shardsErr != nil {
+		return ErrorList{ex.shardsErr}
+	}
 	var errs ErrorList
 	var cfg core.Config
 	idx := make([]int, len(ex.axes))
@@ -238,7 +256,7 @@ func (ex *executor) pointConfig(idx []int, cfg *core.Config) *Error {
 
 // compatible refuses a knob the point's scheme ignores.
 func (ex *executor) compatible(kn *knob, scheme string, at Pos) *Error {
-	if kn.compatibleWith(scheme) {
+	if kn.schemes == nil || slices.Contains(kn.schemes, scheme) {
 		return nil
 	}
 	return &Error{File: ex.prog.File, Pos: at, Msg: fmt.Sprintf("knob %s applies only to %s, but the script also runs scheme %q",
@@ -269,7 +287,7 @@ func (ex *executor) setValue(set *SetDecl, env *evalEnv) (Scalar, *Error) {
 // config is the signature one of its flat-vs-signature pair.
 func (ex *executor) schemeFor(idx []int) (string, Pos, *Error) {
 	if ex.mode == ModeAttrQuery {
-		return "signature", Pos{Line: 1, Col: 1}, nil
+		return signature.Name, Pos{Line: 1, Col: 1}, nil
 	}
 	if ai := ex.axisIndex("scheme"); ai >= 0 {
 		val := ex.axes[ai].vals[idx[ai]]
@@ -609,7 +627,7 @@ func simMetric(name, arg string, cfg core.Config, res *core.Result) (float64, er
 			return res.TuningP99, nil
 		}
 	case "analytic":
-		a, t := Analytic(cfg, res)
+		a, t := core.Analytic(cfg, res.Params)
 		if arg == "access" {
 			return a, nil
 		}

@@ -10,6 +10,11 @@ import (
 	"github.com/airindex/airindex/internal/core"
 	"github.com/airindex/airindex/internal/faults"
 	"github.com/airindex/airindex/internal/multichannel"
+	"github.com/airindex/airindex/internal/schemes/dist"
+	"github.com/airindex/airindex/internal/schemes/hashing"
+	"github.com/airindex/airindex/internal/schemes/hybrid"
+	"github.com/airindex/airindex/internal/schemes/onem"
+	"github.com/airindex/airindex/internal/schemes/signature"
 	"github.com/airindex/airindex/internal/units"
 )
 
@@ -19,45 +24,23 @@ func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// schemeAliases maps DSL-friendly spellings to registered scheme names.
-// The canonical names "(1,m)", "broadcast-disks" and the signature
-// variants contain characters the expression grammar claims (commas,
-// parens, '-' is the minus operator), so bare identifiers get aliases;
-// the canonical spellings are always accepted in quoted strings.
-var schemeAliases = map[string]string{
-	"flat":           "flat",
-	"dist":           "distributed",
-	"distributed":    "distributed",
-	"hash":           "hashing",
-	"hashing":        "hashing",
-	"sig":            "signature",
-	"signature":      "signature",
-	"onem":           "(1,m)",
-	"bdisk":          "broadcast-disks",
-	"hybrid":         "hybrid",
-	"sig_integrated": "signature-integrated",
-	"sig_multilevel": "signature-multilevel",
-}
-
-// canonScheme resolves a scheme value (alias or canonical name) to its
-// registered name.
+// canonScheme resolves a scheme value (a registered name or alias) to
+// its registered name.
 func canonScheme(s string) (string, bool) {
-	if c, ok := schemeAliases[s]; ok {
-		return c, true
-	}
-	for _, name := range core.SchemeNames() {
-		if s == name {
-			return s, true
-		}
-	}
-	return "", false
+	sc, ok := core.LookupScheme(s)
+	return sc.Name, ok
 }
 
-// schemeVocab lists every accepted scheme spelling, for error messages.
+// schemeVocab lists the scheme spellings a script can write bare, for
+// error messages: every alias, and every name that is an identifier.
 func schemeVocab() string {
 	var names []string
-	for alias := range schemeAliases {
-		names = append(names, alias)
+	for _, name := range core.SchemeNames() {
+		sc, _ := core.LookupScheme(name)
+		names = append(names, sc.Aliases...)
+		if lexesAsIdent(name) {
+			names = append(names, name)
+		}
 	}
 	sort.Strings(names)
 	return strings.Join(names, ", ")
@@ -73,7 +56,7 @@ func parsedBy[T any](parse func(string) (T, error)) func(string) (string, bool) 
 }
 
 // sigFamily are the schemes that honour the signature.* knobs.
-var sigFamily = []string{"signature", "signature-integrated", "signature-multilevel"}
+var sigFamily = []string{signature.Name, signature.IntegratedName, signature.MultiLevelName}
 
 // pointFaults stages the fault.* knobs of one point (or of the session
 // settings). apply assembles cfg.Faults from it after all knobs are
@@ -259,18 +242,6 @@ type knob struct {
 	apply func(cfg *core.Config, pf *pointFaults, v Scalar)
 }
 
-func (k *knob) compatibleWith(scheme string) bool {
-	if k.schemes == nil {
-		return true
-	}
-	for _, s := range k.schemes {
-		if s == scheme {
-			return true
-		}
-	}
-	return false
-}
-
 // knobTable lists every knob in documentation order. scheme is the
 // constructor knob: exec.go reads it first (it names the point's base
 // config and gates the scheme-specific knobs), so its apply is a no-op.
@@ -314,17 +285,17 @@ var knobTable = []knob{
 	},
 	{
 		name: "dist.r", doc: "distributed indexing's replication level (-1 = optimal)",
-		isInt: true, schemes: []string{"distributed"},
+		isInt: true, schemes: []string{dist.Name},
 		apply: func(cfg *core.Config, pf *pointFaults, v Scalar) { cfg.Dist.R = int(v.Num) },
 	},
 	{
 		name: "onem.m", doc: "(1,m) indexing's index repetitions per cycle",
-		isInt: true, schemes: []string{"(1,m)"},
+		isInt: true, schemes: []string{onem.Name},
 		apply: func(cfg *core.Config, pf *pointFaults, v Scalar) { cfg.Onem.M = int(v.Num) },
 	},
 	{
 		name: "hashing.load", doc: "hashing's load factor (records per logical bucket)",
-		schemes: []string{"hashing"},
+		schemes: []string{hashing.Name},
 		apply:   func(cfg *core.Config, pf *pointFaults, v Scalar) { cfg.Hashing.LoadFactor = v.Num },
 	},
 	{
@@ -346,12 +317,12 @@ var knobTable = []knob{
 	},
 	{
 		name: "signature.groupsize", doc: "records per signature group", isInt: true,
-		schemes: []string{"signature-integrated", "signature-multilevel"},
+		schemes: []string{signature.IntegratedName, signature.MultiLevelName},
 		apply:   func(cfg *core.Config, pf *pointFaults, v Scalar) { cfg.Signature.GroupSize = int(v.Num) },
 	},
 	{
 		name: "hybrid.groupsize", doc: "records per indexed signature group", isInt: true,
-		schemes: []string{"hybrid"},
+		schemes: []string{hybrid.Name},
 		apply:   func(cfg *core.Config, pf *pointFaults, v Scalar) { cfg.Hybrid.GroupSize = int(v.Num) },
 	},
 	{

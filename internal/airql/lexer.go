@@ -70,6 +70,12 @@ func isDigit(c byte) bool  { return c >= '0' && c <= '9' }
 func isLetter(c byte) bool { return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c == '_' }
 func isIdent(c byte) bool  { return isLetter(c) || isDigit(c) || c == '.' }
 
+// lexesAsIdent reports whether s lexes as one identifier token.
+func lexesAsIdent(s string) bool {
+	tok, err := newLexer("", s).next()
+	return err == nil && tok.Kind == TokenIdent && tok.Text == s
+}
+
 // next returns the next token. Lexical errors are returned, never
 // panicked: the fuzz target runs arbitrary bytes through the compiler.
 func (l *lexer) next() (Token, *Error) {

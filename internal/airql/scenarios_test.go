@@ -684,7 +684,7 @@ func TestMultichAgreesWithAnalysis(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, p := range points {
-		aAt, aTt := Analytic(cfgs[i], results[i])
+		aAt, aTt := core.Analytic(cfgs[i], results[i].Params)
 		sAt, sTt := results[i].Access.Mean(), results[i].Tuning.Mean()
 		if !within(sAt, aAt, 0.2) {
 			t.Errorf("%s %s: access sim %.0f vs analytical %.0f beyond 20%%", p.label, p.scheme, sAt, aAt)

@@ -40,6 +40,9 @@ type Error struct {
 }
 
 func (e *Error) Error() string {
+	if e.Pos.Line == 0 {
+		return fmt.Sprintf("%s: %s", e.File, e.Msg)
+	}
 	return fmt.Sprintf("%s:%d:%d: %s", e.File, e.Pos.Line, e.Pos.Col, e.Msg)
 }
 
@@ -65,6 +68,8 @@ func (l ErrorList) Error() string {
 		return "airql: no errors"
 	case 1:
 		return l[0].Error()
+	case 2:
+		return l[0].Error() + " (and 1 more error)"
 	default:
 		return fmt.Sprintf("%s (and %d more errors)", l[0].Error(), len(l)-1)
 	}

@@ -260,6 +260,16 @@ EMIT csv(results/t.csv)
 `, []string{
 			`t.airql:2:49: knob fault.retries needs fault.model (other than none) or fault.rate; without either the fault layer stays off and the knob does nothing`,
 		}},
+		{"RUN shards above the fast profile's request cap", `
+RUN shards=30000
+SWEEP records=1000,2000
+SET scheme=flat
+TABLE t x(records)
+COL "a" mean(access)
+EMIT csv(results/t.csv)
+`, []string{
+			`t.airql:2:12: core: shards 30000 exceeds max requests 20000; every shard needs at least one request of budget`,
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -273,6 +283,17 @@ EMIT csv(results/t.csv)
 				}
 			}
 		})
+	}
+
+	// A session shard count is checked once, before any point is built,
+	// and blamed on the flag rather than on each point's records value.
+	prog, err := Compile("t.airql", "SWEEP records=1000,2000,3000\nSET scheme=flat\nTABLE t x(records)\nCOL \"a\" mean(access)\nEMIT csv(results/t.csv)\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "-shards: core: shards 100000 exceeds max requests 60000; every shard needs at least one request of budget"
+	if err := Check(prog, Options{Shards: 100000}); err == nil || err.Error() != want {
+		t.Errorf("session shards:\ngot:  %v\nwant: %s", err, want)
 	}
 }
 
@@ -325,6 +346,24 @@ EMIT csv(results/t.csv)
 	} {
 		if _, err := Compile("t.airql", src); err != nil {
 			t.Errorf("valid script rejected: %v\nscript:\n%s", err, src)
+		}
+	}
+}
+
+// TestErrorListSummary: a multi-error list prints its first diagnostic
+// and counts the rest, in the singular for one.
+func TestErrorListSummary(t *testing.T) {
+	e := &Error{File: "t.airql", Pos: Pos{Line: 1, Col: 2}, Msg: "m"}
+	for _, c := range []struct {
+		list ErrorList
+		want string
+	}{
+		{ErrorList{e}, "t.airql:1:2: m"},
+		{ErrorList{e, e}, "t.airql:1:2: m (and 1 more error)"},
+		{ErrorList{e, e, e}, "t.airql:1:2: m (and 2 more errors)"},
+	} {
+		if got := c.list.Error(); got != c.want {
+			t.Errorf("%d errors: got %q, want %q", len(c.list), got, c.want)
 		}
 	}
 }

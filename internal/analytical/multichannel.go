@@ -38,18 +38,6 @@ func WrapWait(d, p float64) float64 {
 	return (q*p*p/2 + r*r/2) / d
 }
 
-// FlatAccessK returns flat-broadcast access time in Dt units on a
-// K-channel replicated allocation. The flat client scans serially and
-// never dozes, so replication leaves it unchanged.
-func FlatAccessK(nr, k int) float64 { return FlatAccess(nr) }
-
-// SignatureAccessK returns simple-signature access time in bytes on a
-// K-channel replicated allocation; like flat, the signature scan is
-// serial and gains nothing from staggered replicas.
-func SignatureAccessK(nr int, dataBytes, sigBytes float64, k int) float64 {
-	return SignatureAccess(nr, dataBytes, sigBytes)
-}
-
 // OneMAccessK returns (1,m)-indexing access time in Dt units on a
 // K-channel replicated allocation. The wait to the next tree copy (the
 // client aims at one specific copy) and the broadcast wait both wrap to
@@ -128,11 +116,3 @@ func DistIndexDataAccess(p TreeParams, segments, dataChannels int) float64 {
 	stripe := float64(p.Records) / float64(dataChannels)
 	return 0.5 + ci/(2*s) + ci/2 + p.Levels + 1 + stripe/2
 }
-
-// OneMTuningK returns the K-channel (1,m) tuning time: channel
-// allocation changes where buckets are, not how many the selective probe
-// reads, so tuning is the single-channel value under every policy.
-func OneMTuningK(p TreeParams) float64 { return OneMTuning(p) }
-
-// DistTuningK returns distributed-indexing tuning time on K channels.
-func DistTuningK(p TreeParams) float64 { return DistTuning(p) }

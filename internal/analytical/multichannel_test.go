@@ -43,12 +43,6 @@ func TestWrapWait(t *testing.T) {
 func TestKFormsReduceToSingleChannel(t *testing.T) {
 	tp := TreeParams{Fanout: 64, Levels: LevelsFor(64, 20000), Replicated: 2, Records: 20000}
 	hp := HashParams{Allocated: 20000, Colliding: 5000, Records: 20000}
-	if got, want := FlatAccessK(20000, 1), FlatAccess(20000); !approx(got, want) {
-		t.Fatalf("FlatAccessK(.,1) = %v, want %v", got, want)
-	}
-	if got, want := SignatureAccessK(20000, 512, 64, 1), SignatureAccess(20000, 512, 64); !approx(got, want) {
-		t.Fatalf("SignatureAccessK(.,1) = %v, want %v", got, want)
-	}
 	if got, want := OneMAccessK(tp, 4, 1), OneMAccess(tp, 4); !approx(got, want) {
 		t.Fatalf("OneMAccessK(.,1) = %v, want %v", got, want)
 	}
@@ -58,17 +52,11 @@ func TestKFormsReduceToSingleChannel(t *testing.T) {
 	if got, want := HashingAccessK(hp, 1), HashingAccess(hp); !approx(got, want) {
 		t.Fatalf("HashingAccessK(.,1) = %v, want %v", got, want)
 	}
-	if got, want := OneMTuningK(tp), OneMTuning(tp); !approx(got, want) {
-		t.Fatalf("OneMTuningK = %v, want %v", got, want)
-	}
-	if got, want := DistTuningK(tp), DistTuning(tp); !approx(got, want) {
-		t.Fatalf("DistTuningK = %v, want %v", got, want)
-	}
 }
 
 // TestKFormsMonotone: for the dozing schemes, access time strictly
 // improves with more replicated channels and approaches the fixed probe
-// floor; the serial schemes are K-invariant.
+// floor.
 func TestKFormsMonotone(t *testing.T) {
 	tp := TreeParams{Fanout: 64, Levels: LevelsFor(64, 20000), Replicated: 2, Records: 20000}
 	hp := HashParams{Allocated: 20000, Colliding: 5000, Records: 20000}
@@ -81,9 +69,6 @@ func TestKFormsMonotone(t *testing.T) {
 		}
 		if !(HashingAccessK(hp, k) < HashingAccessK(hp, k-1)) {
 			t.Fatalf("HashingAccessK not decreasing at K=%d", k)
-		}
-		if FlatAccessK(20000, k) != FlatAccessK(20000, 1) {
-			t.Fatalf("FlatAccessK varies with K")
 		}
 	}
 	if OneMAccessK(tp, 4, 1000) < tp.Levels+1 {

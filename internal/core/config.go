@@ -22,7 +22,6 @@ import (
 	"github.com/airindex/airindex/internal/multichannel"
 	"github.com/airindex/airindex/internal/schemes/bdisk"
 	"github.com/airindex/airindex/internal/schemes/dist"
-	"github.com/airindex/airindex/internal/schemes/flat"
 	"github.com/airindex/airindex/internal/schemes/hashing"
 	"github.com/airindex/airindex/internal/schemes/hybrid"
 	"github.com/airindex/airindex/internal/schemes/onem"
@@ -150,7 +149,7 @@ func DefaultConfig(scheme string, records int) Config {
 // scheme's options included; range checks that need the dataset, such
 // as (1,m)'s m against the record count, stay in the scheme's Build.
 func (c Config) Validate() error {
-	s, ok := lookupScheme(c.Scheme)
+	s, ok := lookupScheme(c.Scheme, false)
 	if !ok {
 		return fmt.Errorf("core: unknown scheme %q (have %v)", c.Scheme, SchemeNames())
 	}
@@ -188,15 +187,15 @@ func (c Config) Validate() error {
 	case !(0 <= c.DozePowerRatio && c.DozePowerRatio <= 1):
 		return fmt.Errorf("core: doze power ratio %v outside [0,1]", c.DozePowerRatio)
 	}
-	if s.options != nil {
-		if err := s.options(c); err != nil {
+	if s.Check != nil {
+		if err := s.Check(c); err != nil {
 			return err
 		}
 	}
 	if err := c.Faults.Validate(); err != nil {
 		return err
 	}
-	if faultsCanCorrupt(c.Faults) && c.Faults.MaxRetries == 0 && c.Availability < 1 && serialScheme(c.Scheme) {
+	if faultsCanCorrupt(c.Faults) && c.Faults.MaxRetries == 0 && c.Availability < 1 && s.Serial {
 		// The access.RecoverPolicy caveat, enforced: a serial scheme can
 		// only conclude a key is absent after a full clean pass of the
 		// cycle, so with errors injected and keys that may be missing, an
@@ -220,18 +219,4 @@ const (
 // differential tests rely on exactly that).
 func faultsCanCorrupt(f faults.Config) bool {
 	return f.Enabled() && f.Rate > 0
-}
-
-// serialScheme reports whether the named scheme finds records by serially
-// scanning the cycle with no index to bound the search: flat and the
-// signature family read every (signature) bucket until a match, and
-// broadcast disks is a flat scan over the disk-frequency layout. These
-// are the schemes whose missing-key searches need a full clean pass.
-func serialScheme(name string) bool {
-	switch name {
-	case flat.Name, signature.Name, signature.IntegratedName, signature.MultiLevelName, bdisk.Name:
-		return true
-	default:
-		return false
-	}
 }

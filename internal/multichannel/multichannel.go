@@ -167,6 +167,9 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// DataChannels returns the channels PolicyIndexData leaves to the data.
+func (c Config) DataChannels() int { return c.Channels - c.indexChannels() }
+
 // indexChannels returns the effective index-channel count for
 // PolicyIndexData, applying the default of 1.
 func (c Config) indexChannels() int {

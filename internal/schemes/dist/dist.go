@@ -16,12 +16,15 @@ package dist
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"github.com/airindex/airindex/internal/access"
+	"github.com/airindex/airindex/internal/analytical"
 	"github.com/airindex/airindex/internal/btree"
 	"github.com/airindex/airindex/internal/channel"
 	"github.com/airindex/airindex/internal/datagen"
+	"github.com/airindex/airindex/internal/multichannel"
 	"github.com/airindex/airindex/internal/schemes/treeidx"
 	"github.com/airindex/airindex/internal/sim"
 	"github.com/airindex/airindex/internal/units"
@@ -254,6 +257,25 @@ func (b *Broadcast) Params() map[string]float64 {
 		"levels":      float64(b.layout.Levels),
 		"segments":    float64(len(b.segStarts)),
 		"bucket_size": float64(b.layout.BucketSize),
+	}
+}
+
+// Model is distributed indexing's closed form (§2.1) in bytes over the
+// broadcast's Params, with its replicated and index/data K-channel forms.
+func Model(data datagen.Config, multi multichannel.Config, p map[string]float64) (accessBytes, tuningBytes float64) {
+	fanout, bucket := int(p["fanout"]), p["bucket_size"]
+	tp := analytical.TreeParams{Fanout: fanout, Levels: analytical.LevelsFor(fanout, data.NumRecords),
+		Replicated: int(p["r"]), Records: data.NumRecords}
+	tuningBytes = analytical.DistTuning(tp) * bucket
+	switch {
+	case !multi.Enabled():
+		return analytical.DistAccess(tp) * bucket, tuningBytes
+	case multi.Policy == multichannel.PolicyReplicated:
+		return analytical.DistAccessK(tp, int(p["segments"]), multi.Channels) * bucket, tuningBytes
+	case multi.Policy == multichannel.PolicyIndexData:
+		return analytical.DistIndexDataAccess(tp, int(p["segments"]), multi.DataChannels()) * bucket, tuningBytes
+	default:
+		return math.NaN(), math.NaN()
 	}
 }
 

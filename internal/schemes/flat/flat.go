@@ -10,10 +10,13 @@ package flat
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/airindex/airindex/internal/access"
+	"github.com/airindex/airindex/internal/analytical"
 	"github.com/airindex/airindex/internal/channel"
 	"github.com/airindex/airindex/internal/datagen"
+	"github.com/airindex/airindex/internal/multichannel"
 	"github.com/airindex/airindex/internal/sim"
 	"github.com/airindex/airindex/internal/units"
 	"github.com/airindex/airindex/internal/wire"
@@ -83,6 +86,17 @@ func (b *Broadcast) Params() map[string]float64 {
 		"cycle_bytes": float64(b.ch.CycleLen()),
 		"bucket_size": float64(b.ch.SizeOf(0)),
 	}
+}
+
+// Model is flat broadcast's closed form (§4.2) in bytes. A serial scan
+// never dozes, so replication over K channels gains it nothing.
+func Model(data datagen.Config, multi multichannel.Config, _ map[string]float64) (accessBytes, tuningBytes float64) {
+	if multi.Enabled() && multi.Policy != multichannel.PolicyReplicated {
+		return math.NaN(), math.NaN()
+	}
+	bucket := float64(wire.HeaderSize + units.Bytes(data.RecordSize))
+	return analytical.FlatAccess(data.NumRecords) * bucket,
+		analytical.FlatTuning(data.NumRecords) * bucket
 }
 
 // NewClient implements access.Broadcast: scan every bucket until the key

@@ -28,8 +28,10 @@ import (
 	"math"
 
 	"github.com/airindex/airindex/internal/access"
+	"github.com/airindex/airindex/internal/analytical"
 	"github.com/airindex/airindex/internal/channel"
 	"github.com/airindex/airindex/internal/datagen"
+	"github.com/airindex/airindex/internal/multichannel"
 	"github.com/airindex/airindex/internal/sim"
 	"github.com/airindex/airindex/internal/units"
 	"github.com/airindex/airindex/internal/wire"
@@ -222,6 +224,24 @@ func (b *Broadcast) Params() map[string]float64 {
 		"Nc":          float64(b.overflow),
 		"empties":     float64(b.empties),
 		"load_factor": b.opts.LoadFactor,
+	}
+}
+
+// Model is simple hashing's closed form (§2.2) in bytes over the
+// broadcast's Params, with its replicated K-channel form.
+func Model(data datagen.Config, multi multichannel.Config, p map[string]float64) (accessBytes, tuningBytes float64) {
+	hp := analytical.HashParams{Allocated: p["Na"], Colliding: p["Nc"], Records: float64(data.NumRecords)}
+	// Cycle buckets = Na + Nc (every record plus one filler per empty
+	// position), all uniform size.
+	bucket := p["cycle_bytes"] / (p["Na"] + p["Nc"])
+	tuningBytes = analytical.HashingTuning(hp) * bucket
+	switch {
+	case !multi.Enabled():
+		return analytical.HashingAccess(hp) * bucket, tuningBytes
+	case multi.Policy == multichannel.PolicyReplicated:
+		return analytical.HashingAccessK(hp, multi.Channels) * bucket, tuningBytes
+	default:
+		return math.NaN(), math.NaN()
 	}
 }
 

@@ -15,11 +15,14 @@ package onem
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/airindex/airindex/internal/access"
+	"github.com/airindex/airindex/internal/analytical"
 	"github.com/airindex/airindex/internal/btree"
 	"github.com/airindex/airindex/internal/channel"
 	"github.com/airindex/airindex/internal/datagen"
+	"github.com/airindex/airindex/internal/multichannel"
 	"github.com/airindex/airindex/internal/schemes/treeidx"
 	"github.com/airindex/airindex/internal/sim"
 	"github.com/airindex/airindex/internal/units"
@@ -226,6 +229,25 @@ func (b *Broadcast) Params() map[string]float64 {
 		"levels":      float64(b.layout.Levels),
 		"tree_nodes":  float64(b.tree.NumNodes()),
 		"bucket_size": float64(b.layout.BucketSize),
+	}
+}
+
+// Model is (1,m) indexing's closed form (§2.1) in bytes over the
+// broadcast's Params, with its replicated and index/data K-channel forms.
+func Model(data datagen.Config, multi multichannel.Config, p map[string]float64) (accessBytes, tuningBytes float64) {
+	fanout, bucket := int(p["fanout"]), p["bucket_size"]
+	tp := analytical.TreeParams{Fanout: fanout, Levels: analytical.LevelsFor(fanout, data.NumRecords),
+		Records: data.NumRecords}
+	tuningBytes = analytical.OneMTuning(tp) * bucket
+	switch {
+	case !multi.Enabled():
+		return analytical.OneMAccess(tp, int(p["m"])) * bucket, tuningBytes
+	case multi.Policy == multichannel.PolicyReplicated:
+		return analytical.OneMAccessK(tp, int(p["m"]), multi.Channels) * bucket, tuningBytes
+	case multi.Policy == multichannel.PolicyIndexData:
+		return analytical.OneMIndexDataAccess(tp, multi.DataChannels()) * bucket, tuningBytes
+	default:
+		return math.NaN(), math.NaN()
 	}
 }
 

@@ -2,11 +2,14 @@ package signature
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"github.com/airindex/airindex/internal/access"
+	"github.com/airindex/airindex/internal/analytical"
 	"github.com/airindex/airindex/internal/channel"
 	"github.com/airindex/airindex/internal/datagen"
+	"github.com/airindex/airindex/internal/multichannel"
 	"github.com/airindex/airindex/internal/sim"
 	"github.com/airindex/airindex/internal/units"
 	"github.com/airindex/airindex/internal/wire"
@@ -126,6 +129,21 @@ func (b *Broadcast) Params() map[string]float64 {
 		"sig_bytes":      float64(b.opts.SigBytes),
 		"bits_per_field": float64(b.opts.BitsPerField),
 	}
+}
+
+// Model is simple signature indexing's closed form (§2.3) in bytes over
+// the broadcast's Params. The scan never dozes, so replication over K
+// channels gains it nothing.
+func Model(data datagen.Config, multi multichannel.Config, p map[string]float64) (accessBytes, tuningBytes float64) {
+	if multi.Enabled() && multi.Policy != multichannel.PolicyReplicated {
+		return math.NaN(), math.NaN()
+	}
+	sigBytes, bitsPerField := int(p["sig_bytes"]), int(p["bits_per_field"])
+	dataBucket := float64(wire.HeaderSize + units.Bytes(data.RecordSize))
+	sigBucket := float64(wire.HeaderSize + units.Bytes(sigBytes))
+	fd := analytical.SignatureExpectedFalseDrops(data.NumRecords, sigBytes, bitsPerField, data.NumAttributes+1)
+	return analytical.SignatureAccess(data.NumRecords, dataBucket, sigBucket),
+		analytical.SignatureTuning(data.NumRecords, dataBucket, sigBucket, fd)
 }
 
 // keyQuery appends the signature bits of a key-equality query — the hash
