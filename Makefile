@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-only lint-flow lint-escape test test-race cover bench bench-gate bench-baseline experiments experiments-fast scenarios scenarios-check faults-sweep multich-sweep examples aircast-demo aircast-e2e clean
+.PHONY: all build vet lint lint-only lint-flow lint-escape test test-race cover bench bench-pair experiments experiments-fast scenarios scenarios-check faults-sweep multich-sweep examples aircast-demo aircast-e2e clean
 
 all: build vet lint test
 
@@ -47,17 +47,14 @@ cover:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Benchmark-regression gate: fail if Simulator.Run's throughput
-# advantage over a per-request access.Walk loop regresses >15% against
-# ci/bench-baseline.json. The gate pins the two sides' speed *ratio*,
-# not raw req/s, so it holds on slower CI machines.
-bench-gate:
-	$(GO) run ./cmd/airgate
-
-# Re-measure and rewrite the gate baseline (after a deliberate change
-# to either side's performance profile).
-bench-baseline:
-	$(GO) run ./cmd/airgate -update
+# Performance gate: measure HEAD against BASE on the committed
+# benchmark's workloads (bench/run.sh) and on every scenarios/*.airql
+# script, in 10 interleaved pairs, and fail when a BENCHMARK.json
+# end-to-end metric is worse than its bound, failed operations rise or a
+# run is incorrect. OUT names the JSON ledger (BENCH_<n>.json):
+#   make bench-pair BASE=<rev> OUT=BENCH_<n>.json
+bench-pair:
+	$(GO) run ./cmd/benchpair -base "$(BASE)" $(if $(OUT),-out "$(OUT)")
 
 # Regenerate every paper figure and family at Table 1 settings (a few
 # minutes), rewriting results/ in place; the same run as `scenarios`.

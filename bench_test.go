@@ -1,18 +1,14 @@
-// Package airindex's benchmark suite regenerates every table and figure of
-// the paper (one Benchmark per artifact, in fast mode — run cmd/airql
-// without -fast for the full Table 1 settings) and measures the hot paths
-// of the simulator itself.
-//
-// The experiment benchmarks are macro-benchmarks: a single iteration runs
-// a whole embedded scenario script, so expect them to self-limit at b.N == 1. Custom
-// metrics report the headline values the paper plots.
+// Package airindex's micro-benchmarks time the simulator's hot paths:
+// per-query protocol walks, broadcast construction and the testbed's
+// statistics. Whole experiments are timed by the committed benchmark
+// (bench/, BENCHMARK.json) and by cmd/benchpair, which runs every
+// scenario script against a base revision.
 package airindex
 
 import (
 	"testing"
 
 	"github.com/airindex/airindex/internal/access"
-	"github.com/airindex/airindex/internal/airql"
 	"github.com/airindex/airindex/internal/core"
 	"github.com/airindex/airindex/internal/datagen"
 	"github.com/airindex/airindex/internal/schemes/bdisk"
@@ -24,78 +20,7 @@ import (
 	"github.com/airindex/airindex/internal/schemes/signature"
 	"github.com/airindex/airindex/internal/sim"
 	"github.com/airindex/airindex/internal/stats"
-	"github.com/airindex/airindex/scenarios"
 )
-
-var benchOpt = airql.Options{Fast: true}
-
-// runExperiment compiles one embedded scenario script, executes it once
-// per iteration, and reports the last row of the selected table's column
-// as a custom metric.
-func runExperiment(b *testing.B, scenario, tableID, column string) {
-	b.Helper()
-	file := scenario + ".airql"
-	src, err := scenarios.Source(file)
-	if err != nil {
-		b.Fatal(err)
-	}
-	prog, err := airql.Compile(file, src)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		tables, err := airql.Execute(prog, benchOpt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, t := range tables {
-			if t.ID != tableID {
-				continue
-			}
-			if col, ok := t.Column(column); ok && len(col) > 0 {
-				b.ReportMetric(col[len(col)-1], "bytes_at_max_x")
-			}
-			if len(t.Rows) == 0 {
-				b.Fatalf("%s produced no rows", tableID)
-			}
-		}
-	}
-}
-
-func BenchmarkFig4aAccessVsRecords(b *testing.B) { runExperiment(b, "fig4", "fig4a", "flat (S)") }
-func BenchmarkFig4bTuningVsRecords(b *testing.B) { runExperiment(b, "fig4", "fig4b", "hashing (S)") }
-func BenchmarkFig5aAccessVsAvailability(b *testing.B) {
-	runExperiment(b, "fig5", "fig5a", "distributed")
-}
-func BenchmarkFig5bTuningVsAvailability(b *testing.B) {
-	runExperiment(b, "fig5", "fig5b", "distributed")
-}
-func BenchmarkFig6aAccessVsRatio(b *testing.B) { runExperiment(b, "fig6", "fig6a", "distributed") }
-func BenchmarkFig6bTuningVsRatio(b *testing.B) { runExperiment(b, "fig6", "fig6b", "distributed") }
-func BenchmarkAblationReplicationDepth(b *testing.B) {
-	runExperiment(b, "ablate-r", "ablate-r", "access (S)")
-}
-func BenchmarkAblationIndexReplication(b *testing.B) {
-	runExperiment(b, "ablate-m", "ablate-m", "access (S)")
-}
-func BenchmarkAblationSignatureLength(b *testing.B) {
-	runExperiment(b, "ablate-sig", "ablate-sig", "tuning (S)")
-}
-func BenchmarkAblationHashAllocation(b *testing.B) {
-	runExperiment(b, "ablate-hash", "ablate-hash", "tuning (S)")
-}
-func BenchmarkAblationErrorRate(b *testing.B) {
-	runExperiment(b, "ablate-errors", "ablate-errors", "distributed tuning")
-}
-func BenchmarkExtSignatureFamily(b *testing.B) {
-	runExperiment(b, "ext-signatures", "ext-signatures", "hybrid tuning")
-}
-func BenchmarkExtBroadcastDisks(b *testing.B) {
-	runExperiment(b, "ext-bdisk", "ext-bdisk", "bdisk/flat ratio")
-}
-func BenchmarkExtMultiAttribute(b *testing.B) {
-	runExperiment(b, "ext-multiattr", "ext-multiattr", "tuning ratio")
-}
 
 // --- micro-benchmarks: per-query protocol walks -------------------------
 

@@ -5,6 +5,10 @@ import (
 	"testing"
 	"time"
 
+	"github.com/airindex/airindex/internal/access"
+	"github.com/airindex/airindex/internal/airborne"
+	"github.com/airindex/airindex/internal/core"
+	"github.com/airindex/airindex/internal/datagen"
 	"github.com/airindex/airindex/internal/faults"
 	"github.com/airindex/airindex/internal/wire"
 )
@@ -127,5 +131,55 @@ func TestMetricsRender(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("metrics missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestResolveKeyBuildsOneClientWhenLossless: a request that never
+// restarts builds exactly one byte-driven client, the one it walks.
+func TestResolveKeyBuildsOneClientWhenLossless(t *testing.T) {
+	cfg := core.DefaultConfig("flat", 300)
+	ds, err := datagen.Generate(cfg.Data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bc, err := core.BuildBroadcast(ds, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := BuildImage(1, Program{Scheme: "flat", Contract: airborne.ContractFor(cfg.Data, bc)}, bc.Channel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(Config{}, img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Stop()
+	rx, err := Dial(TransportInmem, srv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := NewSession(rx, srv.Program())
+	defer sess.Close()
+
+	built := 0
+	orig := newByteClient
+	defer func() { newByteClient = orig }()
+	newByteClient = func(scheme string, b airborne.Source, c airborne.Contract, key uint64) (access.Client, error) {
+		built++
+		return airborne.NewClient(scheme, b, c, key)
+	}
+	res, err := sess.ResolveKey(ds.KeyAt(150))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Found || res.Restarts != 0 || res.EpochRestarts != 0 {
+		t.Fatalf("lossless request: %+v", res)
+	}
+	if built != 1 {
+		t.Fatalf("lossless request built %d clients, want 1", built)
 	}
 }

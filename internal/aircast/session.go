@@ -191,18 +191,17 @@ func (s *Session) fail(res *NetResult, haveArrival bool, at sim.Time) bool {
 	return false
 }
 
-// Resolve runs one request: newClient must return a fresh protocol
-// state machine reading from this session's Source. The walk mechanics
-// mirror access.Walk/WalkRecover, driven by received datagrams instead
-// of channel geometry.
-func (s *Session) Resolve(newClient func() access.Client) (NetResult, error) {
+// resolve runs one request: cl is the first protocol state machine, and
+// newClient returns a fresh one, reading from this session's Source, for
+// each restart. The walk mechanics mirror access.Walk/WalkRecover,
+// driven by received datagrams instead of channel geometry.
+func (s *Session) resolve(cl access.Client, newClient func() access.Client) (NetResult, error) {
 	maxSteps := s.MaxSteps
 	if maxSteps <= 0 {
 		maxSteps = access.DefaultMaxSteps
 	}
 	var res NetResult
 	res.FirstBucket = -1
-	cl := newClient()
 	haveArrival := false
 	var dozing, targeted bool
 	var wake sim.Time
@@ -304,15 +303,19 @@ func (s *Session) Resolve(newClient func() access.Client) (NetResult, error) {
 	return res, fmt.Errorf("aircast: request exceeded %d datagrams without terminating", maxSteps)
 }
 
+// newByteClient is airborne.NewClient; a test counts its calls.
+var newByteClient = airborne.NewClient
+
 // ResolveKey runs one primary-key request with the program's scheme
 // riding the session, building a fresh byte-driven airborne client per
 // protocol (re)start.
 func (s *Session) ResolveKey(key uint64) (NetResult, error) {
-	if _, err := airborne.NewClient(s.prog.Scheme, s.src, s.prog.Contract, key); err != nil {
+	cl, err := newByteClient(s.prog.Scheme, s.src, s.prog.Contract, key)
+	if err != nil {
 		return NetResult{}, err
 	}
-	return s.Resolve(func() access.Client {
-		c, _ := airborne.NewClient(s.prog.Scheme, s.src, s.prog.Contract, key)
+	return s.resolve(cl, func() access.Client {
+		c, _ := newByteClient(s.prog.Scheme, s.src, s.prog.Contract, key)
 		return c
 	})
 }

@@ -43,8 +43,11 @@ func WrapWait(d, p float64) float64 {
 // client aims at one specific copy) and the broadcast wait both wrap to
 // the stagger interval N/K; the in-copy descent, absorbed by the
 // single-channel broadcast wait, emerges un-shrunk as about half a tree
-// copy.
+// copy. K=1 is the paper's exact form.
 func OneMAccessK(p TreeParams, m, k int) float64 {
+	if k <= 1 {
+		return OneMAccess(p, m)
+	}
 	t := OneMTreeBuckets(p)
 	n := OneMCycleBuckets(p, m)
 	seg := n / float64(m)
@@ -61,8 +64,12 @@ func OneMAccessK(p TreeParams, m, k int) float64 {
 // about half an index-plus-data segment plus half a data segment.
 // segments is the actual per-cycle segment count (n^r under the paper's
 // full-tree idealization, passed explicitly because real trees have far
-// fewer level-r nodes); pass 0 to use the idealization.
+// fewer level-r nodes); pass 0 to use the idealization. K=1 is the
+// paper's exact form.
 func DistAccessK(p TreeParams, segments, k int) float64 {
+	if k <= 1 {
+		return DistAccess(p)
+	}
 	n := DistCycleBuckets(p)
 	s := float64(segments)
 	if segments <= 0 {

@@ -43,13 +43,13 @@ func TestWrapWait(t *testing.T) {
 func TestKFormsReduceToSingleChannel(t *testing.T) {
 	tp := TreeParams{Fanout: 64, Levels: LevelsFor(64, 20000), Replicated: 2, Records: 20000}
 	hp := HashParams{Allocated: 20000, Colliding: 5000, Records: 20000}
-	if got, want := OneMAccessK(tp, 4, 1), OneMAccess(tp, 4); !approx(got, want) {
+	if got, want := OneMAccessK(tp, 4, 1), OneMAccess(tp, 4); got != want {
 		t.Fatalf("OneMAccessK(.,1) = %v, want %v", got, want)
 	}
-	if got, want := DistAccessK(tp, 15, 1), DistAccess(tp); !approx(got, want) {
+	if got, want := DistAccessK(tp, 15, 1), DistAccess(tp); got != want {
 		t.Fatalf("DistAccessK(.,1) = %v, want %v", got, want)
 	}
-	if got, want := HashingAccessK(hp, 1), HashingAccess(hp); !approx(got, want) {
+	if got, want := HashingAccessK(hp, 1), HashingAccess(hp); got != want {
 		t.Fatalf("HashingAccessK(.,1) = %v, want %v", got, want)
 	}
 }
