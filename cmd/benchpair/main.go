@@ -1,41 +1,21 @@
-// Command benchpair is the repository's performance gate. It measures a
-// base revision and HEAD on the committed benchmark's own workloads and
-// bounds (BENCHMARK.json, bench/run.sh) and on every scenario script, in
-// interleaved pairs, and writes the medians and a verdict per metric to a
-// JSON ledger:
+// Command benchpair is the performance gate. It runs the committed
+// benchmark (every BENCHMARK.json workload through bench/run.sh) and
+// every scenario script on a base revision and on HEAD, in interleaved
+// pairs, and judges each end-to-end metric from the two sides' medians:
 //
-//	benchpair -base <rev> -out BENCH_<n>.json
-//	make bench-pair BASE=<rev> OUT=BENCH_<n>.json
+//	benchpair -base <rev> [-out BENCH_<n>.json]
 //
-// Both revisions are cloned into one temporary directory, built there and
-// run from there; the directory is removed on every exit path. Each of
-// the 10 pairs runs
-//
-//	bash bench/run.sh --workload <w> --seed 42 --seconds 2 --trace 0
-//
-// on both sides for every workload in BENCHMARK.json, then
-// `airql -fast -quiet -out <tmp> scenarios/<s>.airql` on both sides for
-// every script the two revisions share, timed by wall clock. The side
-// that runs first alternates from pair to pair.
-//
-// Each end-to-end metric of each workload, and each script's wall time
-// (which takes run_s's bound), gets one verdict:
-//
-//   - worse: the change's median is worse than the base's by more than
-//     the bound;
-//   - unresolved: the base's own interquartile range, over its median,
-//     exceeds the bound, and not every change run beats every base run;
-//   - ok: otherwise.
-//
-// The command exits 1 when a verdict is worse, when failed operations
-// rise, or when a run of either side prints correct:false. A script
-// whose CSVs differ between the sides is recorded in the ledger but does
-// not fail the run: the byte-for-byte regeneration of results/ gates
-// outputs.
+// A metric is worse when the change's median is worse than the base's by
+// more than its bound, unresolved when the base's interquartile range
+// over its median exceeds the bound and not every change run beats every
+// base run, and ok otherwise. A script's wall time takes run_s's bound.
+// The command exits 1 on a worse metric, a rise in failed operations or
+// a run that prints correct:false; scripts whose CSVs differ between the
+// sides are recorded only. Both revisions are cloned into a temporary
+// directory that is removed on every exit.
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -50,53 +30,38 @@ import (
 	"strconv"
 	"strings"
 	"syscall"
-	"text/tabwriter"
 	"time"
 )
 
 // The measurement is fixed: no flag changes how much is run.
 const (
 	pairs   = 10
-	seed    = 42
-	seconds = 2
+	seed    = "42"
+	seconds = "2"
 )
 
-// metricSpec is one end-to-end metric of BENCHMARK.json.
-type metricSpec struct {
-	Name   string  `json:"name"`
-	Unit   string  `json:"unit"`
-	Better string  `json:"better"`
-	Bound  float64 `json:"bound"`
+// metric is one end-to-end metric of BENCHMARK.json.
+type metric struct {
+	Name   string
+	Better string
+	Bound  float64
 }
 
-// benchmark is what the driver reads of BENCHMARK.json.
 type benchmark struct {
-	Workloads []struct {
-		Name string `json:"name"`
-	} `json:"workloads"`
-	EndToEnd []metricSpec `json:"end_to_end"`
+	Workloads []struct{ Name string }
+	EndToEnd  []metric `json:"end_to_end"`
 }
 
-// benchRun is the result line of one run.sh run.
-type benchRun struct {
-	Correct bool  `json:"correct"`
-	Failed  int64 `json:"failed"`
-	Metrics map[string]struct {
-		Value float64 `json:"value"`
-	} `json:"metrics"`
+// result is the last line of a bench/run.sh run; a script run is a
+// correct result whose one metric, run_s, is its wall time.
+type result struct {
+	Correct bool
+	Failed  int64
+	Metrics map[string]struct{ Value float64 }
 }
 
-// samples is what one side's runs measured.
-type samples struct {
-	context json.RawMessage       // the first run's context line
-	runs    map[string][]benchRun // by workload
-	wall    map[string][]float64  // seconds, by script
-}
-
-// row is one metric's verdict.
 type row struct {
 	Metric  string  `json:"metric"`
-	Unit    string  `json:"unit"`
 	Base    float64 `json:"base_median"`
 	Change  float64 `json:"change_median"`
 	Ratio   float64 `json:"ratio"`
@@ -104,35 +69,30 @@ type row struct {
 	Verdict string  `json:"verdict"`
 }
 
-type workloadEntry struct {
-	Name          string `json:"name"`
-	BaseFailed    int64  `json:"base_failed"`
-	ChangeFailed  int64  `json:"change_failed"`
-	BaseCorrect   bool   `json:"base_correct"`
-	ChangeCorrect bool   `json:"change_correct"`
-	Metrics       []row  `json:"metrics"`
+// entry is one workload's or script's verdicts. Index 0 of a pair is the
+// base, 1 the change.
+type entry struct {
+	Name         string   `json:"name"`
+	Failed       [2]int64 `json:"failed"`
+	Correct      [2]bool  `json:"correct"`
+	CSVIdentical *bool    `json:"csv_identical,omitempty"`
+	Metrics      []row    `json:"metrics"`
 }
 
-type scriptEntry struct {
-	Name         string `json:"name"`
-	CSVIdentical bool   `json:"csv_identical"`
-	row
-}
-
-type revision struct {
-	Rev     string          `json:"rev"`
-	Context json.RawMessage `json:"context"`
-}
-
-// ledger is the BENCH_<n>.json file.
+// ledger is the BENCH_<n>.json file, written to -out or to standard
+// output.
 type ledger struct {
-	Base      revision        `json:"base"`
-	Change    revision        `json:"change"`
-	Pairs     int             `json:"pairs"`
-	Seed      int             `json:"seed"`
-	Seconds   float64         `json:"seconds"`
-	Workloads []workloadEntry `json:"workloads"`
-	Scripts   []scriptEntry   `json:"scripts"`
+	Revisions [2]string          `json:"revisions"`
+	Contexts  [2]json.RawMessage `json:"contexts"`
+	Pairs     int                `json:"pairs"`
+	Entries   []entry            `json:"entries"`
+}
+
+// side is one revision's clone and what its runs measured.
+type side struct {
+	rev, dir string
+	context  json.RawMessage
+	runs     map[string][]result // by workload or script
 }
 
 func main() {
@@ -144,102 +104,93 @@ func main() {
 
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("benchpair", flag.ContinueOnError)
-	baseRev := fs.String("base", "", "revision to measure HEAD against (required)")
+	base := fs.String("base", "", "revision to measure HEAD against")
 	out := fs.String("out", "", "file to write the JSON ledger to")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *baseRev == "" || fs.NArg() > 0 {
+	if *base == "" || fs.NArg() > 0 {
 		return errors.New("usage: benchpair -base <rev> [-out <file>]")
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
 	tmp, err := os.MkdirTemp("", "benchpair-")
 	if err != nil {
 		return err
 	}
 	defer os.RemoveAll(tmp)
-	base, err := checkOut(ctx, *baseRev, filepath.Join(tmp, "base"))
-	if err != nil {
-		return err
-	}
-	change, err := checkOut(ctx, "HEAD", filepath.Join(tmp, "change"))
-	if err != nil {
-		return err
-	}
-	data, err := os.ReadFile(filepath.Join(change.dir, "BENCHMARK.json"))
-	if err != nil {
-		return err
+
+	var sides [2]*side
+	for i, rev := range []string{*base, "HEAD"} {
+		if sides[i], err = checkOut(ctx, rev, filepath.Join(tmp, strconv.Itoa(i))); err != nil {
+			return err
+		}
 	}
 	var bm benchmark
-	if err := json.Unmarshal(data, &bm); err != nil {
-		return fmt.Errorf("BENCHMARK.json: %w", err)
+	data, err := os.ReadFile(filepath.Join(sides[1].dir, "BENCHMARK.json"))
+	if err == nil {
+		err = json.Unmarshal(data, &bm)
 	}
-	scripts, err := sharedScripts(base.dir, change.dir)
 	if err != nil {
 		return err
 	}
-
-	identical := make(map[string]bool, len(scripts))
-	for _, s := range scripts {
-		identical[s] = true
-	}
-	for p := 0; p < pairs; p++ {
-		order := []*checkout{base, change}
-		if p%2 == 1 {
-			slices.Reverse(order)
+	var scripts []string
+	paths, _ := filepath.Glob(filepath.Join(sides[1].dir, "scenarios", "*.airql"))
+	for _, p := range paths {
+		if _, err := os.Stat(filepath.Join(sides[0].dir, "scenarios", filepath.Base(p))); err == nil {
+			scripts = append(scripts, filepath.Base(p))
 		}
+	}
+
+	identical := map[string]bool{}
+	for p := 0; p < pairs; p++ {
+		order := [2]int{p % 2, 1 - p%2}
 		for _, w := range bm.Workloads {
-			for _, c := range order {
-				if err := c.bench(ctx, w.Name); err != nil {
+			for _, i := range order {
+				if err := sides[i].bench(ctx, w.Name); err != nil {
 					return err
 				}
 			}
 		}
 		for _, s := range scripts {
-			for _, c := range order {
-				if err := c.scenario(ctx, s, filepath.Join(tmp, "out-"+c.name)); err != nil {
+			for _, i := range order {
+				if err := sides[i].scenario(ctx, s, filepath.Join(tmp, "out"+strconv.Itoa(i))); err != nil {
 					return err
 				}
 			}
-			same, err := sameTree(filepath.Join(tmp, "out-base"), filepath.Join(tmp, "out-change"))
-			if err != nil {
+			err := exec.CommandContext(ctx, "diff", "-rq", filepath.Join(tmp, "out0"), filepath.Join(tmp, "out1")).Run()
+			var exit *exec.ExitError
+			if err != nil && !(errors.As(err, &exit) && exit.ExitCode() == 1) {
 				return err
 			}
-			identical[s] = identical[s] && same
+			identical[s] = (p == 0 || identical[s]) && err == nil
 		}
 		fmt.Fprintf(os.Stderr, "benchpair: pair %d/%d done\n", p+1, pairs)
 	}
 
-	l := summarize(bm, scripts, &base.samples, &change.samples, identical)
-	l.Base.Rev, l.Change.Rev = base.rev, change.rev
-	if *out != "" {
-		data, err := json.MarshalIndent(l, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
+	l := ledger{
+		Revisions: [2]string{sides[0].rev, sides[1].rev},
+		Contexts:  [2]json.RawMessage{sides[0].context, sides[1].context},
+		Pairs:     pairs,
+		Entries:   summarize(bm, scripts, [2]map[string][]result{sides[0].runs, sides[1].runs}, identical),
 	}
-	if err := l.print(stdout); err != nil {
+	data, err = json.MarshalIndent(l, "", "  ")
+	if err != nil {
 		return err
 	}
-	if f := l.failures(); len(f) > 0 {
-		return errors.New(strings.Join(f, "; "))
+	if *out == "" {
+		_, err = stdout.Write(append(data, '\n'))
+	} else {
+		err = os.WriteFile(*out, append(data, '\n'), 0o644)
 	}
-	return nil
-}
-
-// checkout is one side's clone, with its airql build and its samples.
-type checkout struct {
-	name, rev, dir, airql string
-	samples
+	if f := failures(l.Entries); err == nil && len(f) > 0 {
+		err = errors.New(strings.Join(f, "; "))
+	}
+	return err
 }
 
 // checkOut clones the repository at rev into dir and builds airql there.
-func checkOut(ctx context.Context, rev, dir string) (*checkout, error) {
+func checkOut(ctx context.Context, rev, dir string) (*side, error) {
 	sha, err := command(ctx, "", "git", "rev-parse", "--verify", rev+"^{commit}")
 	if err != nil {
 		return nil, err
@@ -248,283 +199,161 @@ func checkOut(ctx context.Context, rev, dir string) (*checkout, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &checkout{
-		name:    filepath.Base(dir),
-		rev:     strings.TrimSpace(string(sha)),
-		dir:     dir,
-		airql:   dir + "-airql",
-		samples: samples{runs: map[string][]benchRun{}, wall: map[string][]float64{}},
+	s := &side{rev: strings.TrimSpace(sha), dir: dir, runs: map[string][]result{}}
+	for _, c := range [][]string{
+		{"", "git", "clone", "--quiet", "--shared", "--no-checkout", strings.TrimSpace(top), dir},
+		{dir, "git", "checkout", "--quiet", "--detach", s.rev},
+		{dir, "go", "build", "-o", "airql.bin", "./cmd/airql"},
+	} {
+		if _, err := command(ctx, c[0], c[1], c[2:]...); err != nil {
+			return nil, err
+		}
 	}
-	if _, err := command(ctx, "", "git", "clone", "--quiet", "--shared", "--no-checkout", strings.TrimSpace(string(top)), dir); err != nil {
-		return nil, err
-	}
-	if _, err := command(ctx, dir, "git", "checkout", "--quiet", "--detach", c.rev); err != nil {
-		return nil, err
-	}
-	if _, err := command(ctx, dir, "go", "build", "-o", c.airql, "./cmd/airql"); err != nil {
-		return nil, err
-	}
-	return c, nil
+	return s, nil
 }
 
-// bench runs one workload through the side's run.sh.
-func (c *checkout) bench(ctx context.Context, workload string) error {
-	out, err := command(ctx, c.dir, "bash", "bench/run.sh", "--workload", workload,
-		"--seed", strconv.Itoa(seed), "--seconds", strconv.Itoa(seconds), "--trace", "0")
+// bench runs one workload through the side's bench/run.sh.
+func (s *side) bench(ctx context.Context, workload string) error {
+	out, err := command(ctx, s.dir, "bash", "bench/run.sh", "--workload", workload, "--seed", seed, "--seconds", seconds, "--trace", "0")
 	if err != nil {
 		return err
 	}
-	runCtx, r, err := parseRun(out)
+	line, r, err := parseRun(out)
 	if err != nil {
-		return fmt.Errorf("%s %s: %w", c.name, workload, err)
+		return fmt.Errorf("%s at %.12s: %w", workload, s.rev, err)
 	}
-	if c.context == nil {
-		c.context = runCtx
+	if s.context == nil {
+		s.context = line
 	}
-	c.runs[workload] = append(c.runs[workload], r)
+	s.runs[workload] = append(s.runs[workload], r)
 	return nil
 }
 
-// scenario runs one script through the side's airql into a fresh out
+// scenario runs one script through the side's airql into a fresh
 // directory and records its wall time.
-func (c *checkout) scenario(ctx context.Context, script, out string) error {
+func (s *side) scenario(ctx context.Context, script, out string) error {
 	if err := os.RemoveAll(out); err != nil {
 		return err
 	}
-	start := now()
-	if _, err := command(ctx, c.dir, c.airql, "-fast", "-quiet", "-out", out, filepath.Join("scenarios", script)); err != nil {
+	//airlint:allow determinism wall-clock timing of a child process, not of a simulated run
+	start := time.Now()
+	if _, err := command(ctx, s.dir, "./airql.bin", "-fast", "-quiet", "-out", out, filepath.Join("scenarios", script)); err != nil {
 		return err
 	}
-	c.wall[script] = append(c.wall[script], now().Sub(start).Seconds())
+	//airlint:allow determinism wall-clock timing of a child process, not of a simulated run
+	wall := time.Since(start).Seconds()
+	s.runs[script] = append(s.runs[script], result{Correct: true, Metrics: map[string]struct{ Value float64 }{"run_s": {wall}}})
 	return nil
 }
 
-// now reads the wall clock, which times whole child processes.
-func now() time.Time {
-	//airlint:allow determinism wall-clock timing of child processes, not of simulated runs
-	return time.Now()
-}
-
-// command runs name in dir and returns its standard output; a failure
-// carries the command line and its standard error.
-func command(ctx context.Context, dir, name string, args ...string) ([]byte, error) {
+// command runs name in dir, passing its standard error through, and
+// returns its standard output.
+func command(ctx context.Context, dir, name string, args ...string) (string, error) {
 	cmd := exec.CommandContext(ctx, name, args...)
-	cmd.Dir = dir
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
+	cmd.Dir, cmd.Stderr = dir, os.Stderr
 	out, err := cmd.Output()
 	if err != nil {
-		return nil, fmt.Errorf("%s %s (in %s): %w\n%s", name, strings.Join(args, " "), dir, err, stderr.Bytes())
+		err = fmt.Errorf("%s %s: %w", name, strings.Join(args, " "), err)
 	}
-	return out, nil
+	return string(out), err
 }
 
-// sharedScripts lists the scenario scripts both checkouts have.
-func sharedScripts(a, b string) ([]string, error) {
-	var names [2][]string
-	for i, dir := range []string{a, b} {
-		paths, err := filepath.Glob(filepath.Join(dir, "scenarios", "*.airql"))
-		if err != nil {
-			return nil, err
-		}
-		for _, p := range paths {
-			names[i] = append(names[i], filepath.Base(p))
-		}
-	}
-	var shared []string
-	for _, n := range names[1] {
-		if slices.Contains(names[0], n) {
-			shared = append(shared, n)
-		} else {
-			fmt.Fprintf(os.Stderr, "benchpair: scenarios/%s is new in HEAD; not paired\n", n)
-		}
-	}
-	return shared, nil
-}
-
-// sameTree reports whether two directories hold the same files with the
-// same bytes.
-func sameTree(a, b string) (bool, error) {
-	fa, err := readTree(a)
-	if err != nil {
-		return false, err
-	}
-	fb, err := readTree(b)
-	if err != nil {
-		return false, err
-	}
-	return slices.EqualFunc(fa, fb, func(x, y file) bool {
-		return x.rel == y.rel && bytes.Equal(x.data, y.data)
-	}), nil
-}
-
-type file struct {
-	rel  string
-	data []byte
-}
-
-// readTree reads every regular file under root, in lexical order.
-func readTree(root string) ([]file, error) {
-	var files []file
-	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-		if err != nil || d.IsDir() {
-			return err
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		rel, err := filepath.Rel(root, path)
-		files = append(files, file{rel, data})
-		return err
-	})
-	return files, err
-}
-
-// parseRun reads the context line and the result line that end run.sh's
-// output.
-func parseRun(out []byte) (json.RawMessage, benchRun, error) {
-	var r benchRun
-	lines := strings.Split(strings.TrimSpace(string(out)), "\n")
-	if len(lines) < 2 {
+// parseRun reads the context line and the result line that end
+// bench/run.sh's output.
+func parseRun(out string) (json.RawMessage, result, error) {
+	var r result
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	if len(lines) < 2 || !json.Valid([]byte(lines[len(lines)-2])) {
 		return nil, r, fmt.Errorf("want a context line and a result line, got %q", out)
 	}
-	ctx := json.RawMessage(lines[len(lines)-2])
-	if !json.Valid(ctx) {
-		return nil, r, fmt.Errorf("context line is not JSON: %q", ctx)
-	}
-	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &r); err != nil {
-		return nil, r, fmt.Errorf("result line: %w", err)
-	}
-	return ctx, r, nil
+	err := json.Unmarshal([]byte(lines[len(lines)-1]), &r)
+	return json.RawMessage(lines[len(lines)-2]), r, err
 }
 
-// summarize judges every metric of every workload and every script.
-func summarize(bm benchmark, scripts []string, base, change *samples, identical map[string]bool) ledger {
-	l := ledger{
-		Base:    revision{Context: base.context},
-		Change:  revision{Context: change.context},
-		Pairs:   pairs,
-		Seed:    seed,
-		Seconds: seconds,
-	}
-	var runS metricSpec
-	for _, m := range bm.EndToEnd {
-		if m.Name == "run_s" {
-			runS = m
-		}
-	}
+// summarize judges every workload on every end-to-end metric and every
+// script on run_s.
+func summarize(bm benchmark, scripts []string, runs [2]map[string][]result, identical map[string]bool) []entry {
+	var entries []entry
 	for _, w := range bm.Workloads {
-		e := workloadEntry{Name: w.Name, BaseCorrect: true, ChangeCorrect: true}
-		for _, r := range base.runs[w.Name] {
-			e.BaseFailed += r.Failed
-			e.BaseCorrect = e.BaseCorrect && r.Correct
-		}
-		for _, r := range change.runs[w.Name] {
-			e.ChangeFailed += r.Failed
-			e.ChangeCorrect = e.ChangeCorrect && r.Correct
-		}
-		for _, m := range bm.EndToEnd {
-			e.Metrics = append(e.Metrics, judge(m, values(base.runs[w.Name], m.Name), values(change.runs[w.Name], m.Name)))
-		}
-		l.Workloads = append(l.Workloads, e)
+		entries = append(entries, judgeAll(w.Name, bm.EndToEnd, runs))
 	}
+	i := slices.IndexFunc(bm.EndToEnd, func(m metric) bool { return m.Name == "run_s" })
 	for _, s := range scripts {
-		l.Scripts = append(l.Scripts, scriptEntry{
-			Name:         s,
-			CSVIdentical: identical[s],
-			row:          judge(runS, base.wall[s], change.wall[s]),
-		})
+		e := judgeAll(s, bm.EndToEnd[i:i+1], runs)
+		same := identical[s]
+		e.CSVIdentical = &same
+		entries = append(entries, e)
 	}
-	return l
+	return entries
 }
 
-func values(runs []benchRun, metric string) []float64 {
-	v := make([]float64, len(runs))
-	for i, r := range runs {
-		v[i] = r.Metrics[metric].Value
+func judgeAll(name string, metrics []metric, runs [2]map[string][]result) entry {
+	e := entry{Name: name, Correct: [2]bool{true, true}}
+	for i := range runs {
+		for _, r := range runs[i][name] {
+			e.Failed[i] += r.Failed
+			e.Correct[i] = e.Correct[i] && r.Correct
+		}
 	}
-	return v
+	for _, m := range metrics {
+		var v [2][]float64
+		for i := range runs {
+			for _, r := range runs[i][name] {
+				v[i] = append(v[i], r.Metrics[m.Name].Value)
+			}
+		}
+		e.Metrics = append(e.Metrics, judge(m, v[0], v[1]))
+	}
+	return e
 }
 
 // judge gives one metric's verdict from the two sides' runs.
-func judge(m metricSpec, base, change []float64) row {
+func judge(m metric, base, change []float64) row {
 	b, c := quantile(base, 0.5), quantile(change, 0.5)
-	r := row{Metric: m.Name, Unit: m.Unit, Base: b, Change: c, Bound: m.Bound, Verdict: "ok"}
+	r := row{Metric: m.Name, Base: b, Change: c, Bound: m.Bound, Verdict: "ok"}
 	if b > 0 {
 		r.Ratio = c / b
 	}
-	lower := m.Better == "lower"
 	worse, beatsAll := c < b*(1-m.Bound), slices.Min(change) > slices.Max(base)
-	if lower {
+	if m.Better == "lower" {
 		worse, beatsAll = c > b*(1+m.Bound), slices.Max(change) < slices.Min(base)
 	}
-	spread := (quantile(base, 0.75) - quantile(base, 0.25)) / b
 	switch {
 	case worse:
 		r.Verdict = "worse"
-	case spread > m.Bound && !beatsAll:
+	case (quantile(base, 0.75)-quantile(base, 0.25))/b > m.Bound && !beatsAll:
 		r.Verdict = "unresolved"
 	}
 	return r
 }
 
-// quantile is the q-quantile of v, interpolated between order
-// statistics.
+// quantile is the q-quantile of v, interpolated between order statistics.
 func quantile(v []float64, q float64) float64 {
 	s := slices.Clone(v)
 	slices.Sort(s)
 	pos := q * float64(len(s)-1)
 	i := int(pos)
-	if i+1 >= len(s) {
+	if i+1 == len(s) {
 		return s[i]
 	}
 	return s[i] + (pos-float64(i))*(s[i+1]-s[i])
 }
 
-// failures lists what makes the ledger fail the gate.
-func (l ledger) failures() []string {
+// failures lists what fails the gate.
+func failures(entries []entry) []string {
 	var f []string
-	for _, w := range l.Workloads {
-		if w.ChangeFailed > w.BaseFailed {
-			f = append(f, fmt.Sprintf("%s: failed operations rose from %d to %d", w.Name, w.BaseFailed, w.ChangeFailed))
+	for _, e := range entries {
+		if e.Failed[1] > e.Failed[0] {
+			f = append(f, fmt.Sprintf("%s: failed operations rose from %d to %d", e.Name, e.Failed[0], e.Failed[1]))
 		}
-		if !w.BaseCorrect || !w.ChangeCorrect {
-			f = append(f, fmt.Sprintf("%s: a run printed correct:false (base %t, change %t)", w.Name, w.BaseCorrect, w.ChangeCorrect))
+		if !e.Correct[0] || !e.Correct[1] {
+			f = append(f, fmt.Sprintf("%s: a run printed correct:false (base %t, change %t)", e.Name, e.Correct[0], e.Correct[1]))
 		}
-		for _, r := range w.Metrics {
+		for _, r := range e.Metrics {
 			if r.Verdict == "worse" {
-				f = append(f, fmt.Sprintf("%s %s: worse", w.Name, r.Metric))
+				f = append(f, e.Name+" "+r.Metric+" is worse")
 			}
 		}
 	}
-	for _, s := range l.Scripts {
-		if s.Verdict == "worse" {
-			f = append(f, fmt.Sprintf("%s %s: worse", s.Name, s.Metric))
-		}
-	}
 	return f
-}
-
-// print writes the ledger as a table.
-func (l ledger) print(w io.Writer) error {
-	tw := tabwriter.NewWriter(w, 0, 0, 2, ' ', 0)
-	fmt.Fprintf(tw, "base %.12s, change %.12s, %d pairs\n", l.Base.Rev, l.Change.Rev, l.Pairs)
-	fmt.Fprintln(tw, "workload/script\tmetric\tbase\tchange\tratio\tbound\tverdict\t")
-	line := func(name string, r row, note string) {
-		fmt.Fprintf(tw, "%s\t%s\t%.4g\t%.4g\t%.3f\t%g\t%s\t%s\n", name, r.Metric, r.Base, r.Change, r.Ratio, r.Bound, r.Verdict, note)
-	}
-	for _, e := range l.Workloads {
-		for _, r := range e.Metrics {
-			line(e.Name, r, "")
-		}
-	}
-	for _, s := range l.Scripts {
-		note := ""
-		if !s.CSVIdentical {
-			note = "CSVs differ"
-		}
-		line(s.Name, s.row, note)
-	}
-	return tw.Flush()
 }

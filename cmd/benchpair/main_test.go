@@ -7,149 +7,138 @@ import (
 )
 
 var testBench = benchmark{
-	Workloads: []struct {
-		Name string `json:"name"`
-	}{{Name: "w"}},
-	EndToEnd: []metricSpec{
-		{Name: "run_s", Unit: "s", Better: "lower", Bound: 0.25},
-		{Name: "req_per_s", Unit: "req/s", Better: "higher", Bound: 0.25},
+	Workloads: []struct{ Name string }{{Name: "w"}},
+	EndToEnd: []metric{
+		{Name: "run_s", Better: "lower", Bound: 0.25},
+		{Name: "req_per_s", Better: "higher", Bound: 0.25},
 	},
 }
 
-// canned is run.sh's output for one run: a progress line, the context
-// line and the result line.
+// canned is bench/run.sh's output for one run: the context line and the
+// result line.
 func canned(correct bool, failed int, runS, reqPerS float64) string {
-	return fmt.Sprintf("building\n{\"workload\":\"w\",\"seed\":42}\n"+
+	return fmt.Sprintf("{\"workload\":\"w\",\"seed\":42}\n"+
 		"{\"correct\":%t,\"attempted\":100,\"failed\":%d,\"metrics\":{"+
 		"\"run_s\":{\"value\":%g,\"unit\":\"s\"},\"req_per_s\":{\"value\":%g,\"unit\":\"req/s\"}}}\n",
 		correct, failed, runS, reqPerS)
 }
 
-// side parses one canned output per run of workload w, and gives the
-// script s the same wall times as run_s.
-func side(t *testing.T, outs ...string) *samples {
+// runs parses one canned output per run of workload w, and gives script
+// s.airql the same run_s.
+func runs(t *testing.T, outs ...string) map[string][]result {
 	t.Helper()
-	s := &samples{runs: map[string][]benchRun{}, wall: map[string][]float64{}}
+	m := map[string][]result{}
 	for _, out := range outs {
-		ctx, r, err := parseRun([]byte(out))
+		_, r, err := parseRun(out)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.context = ctx
-		s.runs["w"] = append(s.runs["w"], r)
-		s.wall["s.airql"] = append(s.wall["s.airql"], r.Metrics["run_s"].Value)
+		m["w"] = append(m["w"], r)
+		m["s.airql"] = append(m["s.airql"], result{Correct: true, Metrics: map[string]struct{ Value float64 }{"run_s": r.Metrics["run_s"]}})
 	}
-	return s
+	return m
 }
 
 // steady is ten correct runs at run_s = runS and req_per_s = reqPerS,
 // each moved by up to 2%.
-func steady(t *testing.T, runS, reqPerS float64) *samples {
+func steady(t *testing.T, runS, reqPerS float64) map[string][]result {
 	var outs []string
 	for i := 0; i < 10; i++ {
 		f := 1 + float64(i%5-2)/100
 		outs = append(outs, canned(true, 0, runS*f, reqPerS*f))
 	}
-	return side(t, outs...)
+	return runs(t, outs...)
 }
 
-func verdicts(l ledger) string {
-	var v []string
-	for _, r := range l.Workloads[0].Metrics {
-		v = append(v, r.Metric+"="+r.Verdict)
-	}
-	return strings.Join(v, " ") + " script=" + l.Scripts[0].Verdict
+func judgeCanned(base, change map[string][]result, identical bool) []entry {
+	return summarize(testBench, []string{"s.airql"}, [2]map[string][]result{base, change}, map[string]bool{"s.airql": identical})
 }
 
 func TestVerdicts(t *testing.T) {
-	spread := func(scale float64) *samples {
-		var outs []string
-		for i := 0; i < 10; i++ {
-			v := scale * (0.6 + 0.1*float64(i)) // interquartile range 0.45 of median 1.05
-			outs = append(outs, canned(true, 0, v, 100))
-		}
-		return side(t, outs...)
+	// Base run_s 0.6, 0.7, ..., 1.5: interquartile range 0.45 over a
+	// median of 1.05.
+	var spread []string
+	for i := 0; i < 10; i++ {
+		spread = append(spread, canned(true, 0, 0.6+0.1*float64(i), 100))
 	}
 	for _, tc := range []struct {
 		name         string
-		base, change *samples
+		base, change map[string][]result
 		want         string
-		fails        bool
 	}{
-		{"same", steady(t, 1, 100), steady(t, 1, 100), "run_s=ok req_per_s=ok script=ok", false},
-		{"lower-better past the bound", steady(t, 1, 100), steady(t, 1.3, 100), "run_s=worse req_per_s=ok script=worse", true},
-		{"lower-better within the bound", steady(t, 1, 100), steady(t, 1.2, 100), "run_s=ok req_per_s=ok script=ok", false},
-		{"higher-better past the bound", steady(t, 1, 100), steady(t, 1, 70), "run_s=ok req_per_s=worse script=ok", true},
-		{"higher-better gain", steady(t, 1, 100), steady(t, 1, 200), "run_s=ok req_per_s=ok script=ok", false},
-		{"base spread above the bound", spread(1), spread(1), "run_s=unresolved req_per_s=ok script=unresolved", false},
-		{"every change run beats every base run", spread(1), steady(t, 0.5, 100), "run_s=ok req_per_s=ok script=ok", false},
-		{"worse outranks unresolved", spread(1), steady(t, 1.5, 100), "run_s=worse req_per_s=ok script=worse", true},
+		{"same", steady(t, 1, 100), steady(t, 1, 100), "ok ok ok"},
+		{"lower-better past the bound", steady(t, 1, 100), steady(t, 1.3, 100), "worse ok worse"},
+		{"lower-better within the bound", steady(t, 1, 100), steady(t, 1.2, 100), "ok ok ok"},
+		{"higher-better past the bound", steady(t, 1, 100), steady(t, 1, 70), "ok worse ok"},
+		{"higher-better gain", steady(t, 1, 100), steady(t, 1, 200), "ok ok ok"},
+		{"base spread above the bound", runs(t, spread...), runs(t, spread...), "unresolved ok unresolved"},
+		{"every change run beats every base run", runs(t, spread...), steady(t, 0.5, 100), "ok ok ok"},
+		{"worse outranks unresolved", runs(t, spread...), steady(t, 1.5, 100), "worse ok worse"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			l := summarize(testBench, []string{"s.airql"}, tc.base, tc.change, map[string]bool{"s.airql": true})
-			if got := verdicts(l); got != tc.want {
-				t.Fatalf("verdicts %s, want %s", got, tc.want)
+			entries := judgeCanned(tc.base, tc.change, true)
+			var got []string
+			for _, e := range entries {
+				for _, r := range e.Metrics {
+					got = append(got, r.Verdict)
+				}
 			}
-			if f := l.failures(); (len(f) > 0) != tc.fails {
-				t.Fatalf("failures %q, want failing %t", f, tc.fails)
+			if strings.Join(got, " ") != tc.want {
+				t.Fatalf("verdicts (run_s, req_per_s, script) %q, want %q", got, tc.want)
+			}
+			if f := failures(entries); (len(f) > 0) != strings.Contains(tc.want, "worse") {
+				t.Fatalf("failures %q for verdicts %q", f, got)
 			}
 		})
 	}
 }
 
-func TestFailuresOnFailedOpsAndIncorrectRuns(t *testing.T) {
-	runs := func(correct bool, failed int) *samples {
+func TestFailedOpsAndIncorrectRunsFail(t *testing.T) {
+	ten := func(correct bool, failed int) map[string][]result {
 		var outs []string
 		for i := 0; i < 10; i++ {
 			outs = append(outs, canned(correct, failed, 1, 100))
 		}
-		return side(t, outs...)
+		return runs(t, outs...)
 	}
 	for _, tc := range []struct {
 		name         string
-		base, change *samples
+		base, change map[string][]result
 		want         string
 	}{
-		{"failed operations rise", runs(true, 0), runs(true, 1), "failed operations rose from 0 to 10"},
-		{"change prints correct:false", runs(true, 0), runs(false, 0), "correct:false (base true, change false)"},
-		{"base prints correct:false", runs(false, 0), runs(true, 0), "correct:false (base false, change true)"},
+		{"failed operations rise", ten(true, 0), ten(true, 1), "w: failed operations rose from 0 to 10"},
+		{"change prints correct:false", ten(true, 0), ten(false, 0), "w: a run printed correct:false (base true, change false)"},
+		{"base prints correct:false", ten(false, 0), ten(true, 0), "w: a run printed correct:false (base false, change true)"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			l := summarize(testBench, []string{"s.airql"}, tc.base, tc.change, map[string]bool{"s.airql": true})
-			f := l.failures()
-			if len(f) != 1 || !strings.Contains(f[0], tc.want) {
-				t.Fatalf("failures %q, want one naming %q", f, tc.want)
+			if f := failures(judgeCanned(tc.base, tc.change, true)); len(f) != 1 || f[0] != tc.want {
+				t.Fatalf("failures %q, want [%q]", f, tc.want)
 			}
 		})
 	}
-	l := summarize(testBench, []string{"s.airql"}, runs(true, 2), runs(true, 1), map[string]bool{"s.airql": true})
-	if f := l.failures(); len(f) != 0 {
+	if f := failures(judgeCanned(ten(true, 2), ten(true, 1), true)); len(f) != 0 {
 		t.Fatalf("fewer failed operations fail the gate: %q", f)
 	}
 }
 
-// TestCSVMismatchRecordedNotFailed: a script whose CSVs differ is in the
-// ledger, and the gate still passes.
+// TestCSVMismatchRecordedNotFailed: a script whose CSVs differ is marked
+// in the ledger, and the gate still passes.
 func TestCSVMismatchRecordedNotFailed(t *testing.T) {
-	l := summarize(testBench, []string{"s.airql"}, steady(t, 1, 100), steady(t, 1, 100), map[string]bool{"s.airql": false})
-	if l.Scripts[0].CSVIdentical {
-		t.Fatal("CSV mismatch not recorded")
+	entries := judgeCanned(steady(t, 1, 100), steady(t, 1, 100), false)
+	if s := entries[1]; s.Name != "s.airql" || s.CSVIdentical == nil || *s.CSVIdentical {
+		t.Fatalf("CSV mismatch not recorded: %+v", s)
 	}
-	if f := l.failures(); len(f) != 0 {
+	if entries[0].CSVIdentical != nil {
+		t.Fatal("a workload carries a CSV verdict")
+	}
+	if f := failures(entries); len(f) != 0 {
 		t.Fatalf("CSV mismatch fails the gate: %q", f)
-	}
-	var b strings.Builder
-	if err := l.print(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), "CSVs differ") {
-		t.Fatalf("table does not flag the mismatch:\n%s", b.String())
 	}
 }
 
 func TestParseRunRejectsTruncatedOutput(t *testing.T) {
 	for _, out := range []string{"", "{\"correct\":true}\n", "not json\n{\"correct\":true}\n", "{}\n{\"correct\":"} {
-		if _, _, err := parseRun([]byte(out)); err == nil {
+		if _, _, err := parseRun(out); err == nil {
 			t.Errorf("parseRun(%q) accepted", out)
 		}
 	}
