@@ -39,18 +39,24 @@ func TestWrapWait(t *testing.T) {
 }
 
 // TestKFormsReduceToSingleChannel: every K-channel form at K=1 is exactly
-// the paper's single-channel expression.
+// the paper's single-channel expression, bit for bit.
 func TestKFormsReduceToSingleChannel(t *testing.T) {
-	tp := TreeParams{Fanout: 64, Levels: LevelsFor(64, 20000), Replicated: 2, Records: 20000}
-	hp := HashParams{Allocated: 20000, Colliding: 5000, Records: 20000}
-	if got, want := OneMAccessK(tp, 4, 1), OneMAccess(tp, 4); got != want {
-		t.Fatalf("OneMAccessK(.,1) = %v, want %v", got, want)
-	}
-	if got, want := DistAccessK(tp, 15, 1), DistAccess(tp); got != want {
-		t.Fatalf("DistAccessK(.,1) = %v, want %v", got, want)
-	}
-	if got, want := HashingAccessK(hp, 1), HashingAccess(hp); got != want {
-		t.Fatalf("HashingAccessK(.,1) = %v, want %v", got, want)
+	for _, records := range []int{2000, 7000, 20000, 34000} {
+		for _, fanout := range []int{16, 64} {
+			tp := TreeParams{Fanout: fanout, Levels: LevelsFor(fanout, records), Replicated: 2, Records: records}
+			hp := HashParams{Allocated: float64(records), Colliding: float64(records) / 4, Records: float64(records)}
+			for m := 1; m <= 8; m++ {
+				if got, want := OneMAccessK(tp, m, 1), OneMAccess(tp, m); got != want {
+					t.Fatalf("records %d fanout %d: OneMAccessK(., %d, 1) = %v, want %v", records, fanout, m, got, want)
+				}
+			}
+			if got, want := DistAccessK(tp, 15, 1), DistAccess(tp); got != want {
+				t.Fatalf("records %d fanout %d: DistAccessK(., 1) = %v, want %v", records, fanout, got, want)
+			}
+			if got, want := HashingAccessK(hp, 1), HashingAccess(hp); got != want {
+				t.Fatalf("records %d fanout %d: HashingAccessK(., 1) = %v, want %v", records, fanout, got, want)
+			}
+		}
 	}
 }
 

@@ -235,17 +235,17 @@ func TestRewindEquivalentToFreshClient(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			bc := s.Broadcast()
+			bc := s.bc
 			ch := bc.Channel()
-			probe := bc.NewClient(s.Dataset().KeyAt(0))
+			probe := bc.NewClient(s.ds.KeyAt(0))
 			rw, ok := probe.(access.Rewinder)
 			if !ok {
 				t.Skipf("%s clients are not rewindable; the engine allocates fresh", scheme)
 			}
 			for i := 0; i < 40; i++ {
-				key := s.Dataset().KeyAt((i * 7) % s.Dataset().Len())
+				key := s.ds.KeyAt((i * 7) % s.ds.Len())
 				if i%5 == 4 {
-					key = s.Dataset().MissingKeyNear(i % s.Dataset().Len())
+					key = s.ds.MissingKeyNear(i % s.ds.Len())
 				}
 				arrival := sim150(i)
 				want, err := access.Walk(ch, bc.NewClient(key), arrival, 0)
@@ -253,7 +253,7 @@ func TestRewindEquivalentToFreshClient(t *testing.T) {
 					t.Fatal(err)
 				}
 				// Dirty the reused client on some other key, then rewind.
-				if _, err := access.Walk(ch, func() access.Client { rw.Rewind(s.Dataset().KeyAt(0)); return probe }(), arrival/2, 0); err != nil {
+				if _, err := access.Walk(ch, func() access.Client { rw.Rewind(s.ds.KeyAt(0)); return probe }(), arrival/2, 0); err != nil {
 					t.Fatal(err)
 				}
 				rw.Rewind(key)
@@ -280,7 +280,7 @@ func TestResolverMatchesWalk(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			bc := s.Broadcast()
+			bc := s.bc
 			r, ok := bc.(access.Resolver)
 			if !ok {
 				t.Fatalf("%s should implement access.Resolver", scheme)
@@ -288,9 +288,9 @@ func TestResolverMatchesWalk(t *testing.T) {
 			ch := bc.Channel()
 			cyc := int64(ch.CycleLen())
 			for i := 0; i < 180; i++ {
-				key := s.Dataset().KeyAt((i * 13) % s.Dataset().Len())
+				key := s.ds.KeyAt((i * 13) % s.ds.Len())
 				if i%4 == 3 {
-					key = s.Dataset().MissingKeyNear(i % s.Dataset().Len())
+					key = s.ds.MissingKeyNear(i % s.ds.Len())
 				}
 				// Arrivals sweep bucket-interior offsets, bucket edges and
 				// multi-cycle bases.

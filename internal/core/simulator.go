@@ -131,12 +131,6 @@ func (s *Simulator) resultParams() map[string]float64 {
 	return p
 }
 
-// Broadcast exposes the constructed broadcast (for tests and examples).
-func (s *Simulator) Broadcast() access.Broadcast { return s.bc }
-
-// Dataset exposes the generated data source.
-func (s *Simulator) Dataset() *datagen.Dataset { return s.ds }
-
 // pickKey draws a request key from the stream's RNG: a stored key with
 // probability Availability, otherwise a key provably absent from the
 // broadcast.
