@@ -54,7 +54,7 @@ bench:
 # run is incorrect. OUT names the JSON ledger (BENCH_<n>.json):
 #   make bench-pair BASE=<rev> OUT=BENCH_<n>.json
 bench-pair:
-	$(GO) run ./cmd/benchpair -base "$(BASE)" $(if $(OUT),-out "$(OUT)")
+	$(GO) run ./cmd/benchpair -base "$(BASE)" -out "$(OUT)"
 
 # Regenerate every paper figure and family at Table 1 settings (a few
 # minutes), rewriting results/ in place; the same run as `scenarios`.

@@ -3,7 +3,7 @@
 // every scenario script on a base revision and on HEAD, in interleaved
 // pairs, and judges each end-to-end metric from the two sides' medians:
 //
-//	benchpair -base <rev> [-out BENCH_<n>.json]
+//	benchpair -base <rev> -out BENCH_<n>.json
 //
 // A metric is worse when the change's median is worse than the base's by
 // more than its bound, unresolved when the base's interquartile range
@@ -21,7 +21,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/exec"
 	"os/signal"
@@ -79,8 +78,7 @@ type entry struct {
 	Metrics      []row    `json:"metrics"`
 }
 
-// ledger is the BENCH_<n>.json file, written to -out or to standard
-// output.
+// ledger is the BENCH_<n>.json file.
 type ledger struct {
 	Revisions [2]string          `json:"revisions"`
 	Contexts  [2]json.RawMessage `json:"contexts"`
@@ -96,21 +94,21 @@ type side struct {
 }
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "benchpair:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string, stdout io.Writer) error {
+func run(args []string) error {
 	fs := flag.NewFlagSet("benchpair", flag.ContinueOnError)
 	base := fs.String("base", "", "revision to measure HEAD against")
-	out := fs.String("out", "", "file to write the JSON ledger to")
+	out := fs.String("out", "", "file to write the JSON ledger to (required)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *base == "" || fs.NArg() > 0 {
-		return errors.New("usage: benchpair -base <rev> [-out <file>]")
+	if *base == "" || *out == "" || fs.NArg() > 0 {
+		return errors.New("usage: benchpair -base <rev> -out <file>")
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -175,12 +173,7 @@ func run(args []string, stdout io.Writer) error {
 		Entries:   summarize(bm, scripts, [2]map[string][]result{sides[0].runs, sides[1].runs}, identical),
 	}
 	data, err = json.MarshalIndent(l, "", "  ")
-	if err != nil {
-		return err
-	}
-	if *out == "" {
-		_, err = stdout.Write(append(data, '\n'))
-	} else {
+	if err == nil {
 		err = os.WriteFile(*out, append(data, '\n'), 0o644)
 	}
 	if f := failures(l.Entries); err == nil && len(f) > 0 {

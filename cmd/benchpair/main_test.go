@@ -154,8 +154,8 @@ func TestQuantile(t *testing.T) {
 }
 
 func TestUsage(t *testing.T) {
-	for _, args := range [][]string{nil, {"-base", "HEAD", "extra"}, {"-pairs", "3"}} {
-		if err := run(args, new(strings.Builder)); err == nil {
+	for _, args := range [][]string{nil, {"-base", "HEAD"}, {"-out", "x.json"}, {"-base", "HEAD", "-out", "x.json", "extra"}, {"-pairs", "3"}} {
+		if err := run(args); err == nil {
 			t.Errorf("run(%q) accepted", args)
 		}
 	}
