@@ -223,6 +223,41 @@ func TestWalkMultiSerialScanStaysPut(t *testing.T) {
 	}
 }
 
+// TestWalkMultiSerialScanCrossesChannels: under a policy that splits the
+// cycle, StepNext follows the logical order across channels. Within a
+// channel the next local bucket is the next logical one and the walk
+// stays put; at a channel's end it hops to wherever the next logical
+// bucket lives.
+func TestWalkMultiSerialScanCrossesChannels(t *testing.T) {
+	ch := mixedChannel(t) // indices 0,1 index (10B); 2..5 data (30B)
+	set, err := multichannel.Build(ch, multichannel.Config{Channels: 2, Policy: multichannel.PolicyIndexData})
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := make([]Step, 7)
+	for i := range steps {
+		steps[i] = Next()
+	}
+	steps[6] = Done(true)
+	c := &scriptClient{steps: steps}
+	res, err := walkOnSet(set, c, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []units.BucketIndex{0, 1, 2, 3, 4, 5, 0}
+	if len(c.seen) != len(want) {
+		t.Fatalf("client saw logical %v, want %v", c.seen, want)
+	}
+	for i := range want {
+		if c.seen[i] != want[i] {
+			t.Fatalf("client saw logical %v, want %v", c.seen, want)
+		}
+	}
+	if res.Switches != 2 {
+		t.Fatalf("Switches = %d, want 2 (index -> data -> index)", res.Switches)
+	}
+}
+
 // TestWalkMultiIndexDataFollowsPointerAcrossChannels drives an
 // index/data split: the client reads an index bucket on the index
 // channel and dozes to a data bucket that only the data channel carries.

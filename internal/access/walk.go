@@ -103,6 +103,13 @@ loop:
 				continue
 			}
 			s.Hint = logical.Next(n)
+			// When cur's next local bucket carries it, that bucket starts
+			// at end, no occurrence anywhere starts earlier, and a tie
+			// stays on cur: it is NextFeasible's answer without the query.
+			if next, lg := set.NextLocal(cur, idx); lg == s.Hint {
+				idx, start = next, end
+				continue
+			}
 		case StepDoze:
 			if s.At < end {
 				//airlint:allow escapecheck fmt.Errorf boxes its operands on this terminal error path

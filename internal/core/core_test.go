@@ -8,6 +8,8 @@ import (
 	"github.com/airindex/airindex/internal/access"
 	"github.com/airindex/airindex/internal/datagen"
 	"github.com/airindex/airindex/internal/faults"
+	"github.com/airindex/airindex/internal/sim"
+	"github.com/airindex/airindex/internal/units"
 )
 
 // smallConfig keeps unit-test runs fast.
@@ -394,5 +396,35 @@ func TestEnergyCriterion(t *testing.T) {
 	bad.DozePowerRatio = 1.5
 	if err := bad.Validate(); err == nil {
 		t.Fatal("doze power ratio above 1 accepted")
+	}
+}
+
+// TestChannelSizesMatchBuckets pins the channel's size table to the
+// buckets it was built from: for every registered scheme's cycle, SizeOf
+// and EndGiven must read each bucket's own Size, so a cached size can
+// never drift from the bytes the bucket encodes.
+func TestChannelSizesMatchBuckets(t *testing.T) {
+	for _, scheme := range SchemeNames() {
+		s, err := New(smallConfig(scheme, 250))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ch := s.bc.Channel()
+		var total units.ByteCount
+		for i := 0; i < int(ch.NumBuckets()); i++ {
+			idx := units.Index(i)
+			size := ch.Bucket(idx).Size()
+			if got := ch.SizeOf(idx); got != size {
+				t.Fatalf("%s bucket %d: SizeOf %d, Size %d", scheme, i, got, size)
+			}
+			at := sim.Time(i*977 + 13)
+			if got := ch.EndGiven(idx, at); got != at+size.Span() {
+				t.Fatalf("%s bucket %d: EndGiven(%d) = %d, want %d", scheme, i, at, got, at+size.Span())
+			}
+			total += size
+		}
+		if total != ch.CycleLen() {
+			t.Fatalf("%s: bucket sizes sum to %d, cycle is %d", scheme, total, ch.CycleLen())
+		}
 	}
 }

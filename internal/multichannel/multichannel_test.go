@@ -216,7 +216,7 @@ func TestIndexDataSplit(t *testing.T) {
 	// replicated in the index/data split with one index channel).
 	n := int(set.NumLogical())
 	for i := 0; i < n; i++ {
-		got := len(set.places[units.Index(i)])
+		got := len(refPlaces(set, units.Index(i)))
 		if got != 1 {
 			t.Errorf("logical bucket %d placed %d times, want 1", i, got)
 		}
@@ -243,7 +243,7 @@ func TestIndexDataStaggersIndexChannels(t *testing.T) {
 		t.Errorf("index channel phases %d/%d, want 0/20 (half the 40-byte index cycle)", p0, p1)
 	}
 	// Index buckets are now reachable on two channels.
-	if got := len(set.places[0]); got != 2 {
+	if got := len(refPlaces(set, 0)); got != 2 {
 		t.Errorf("index bucket placed %d times, want 2", got)
 	}
 }
@@ -271,8 +271,8 @@ func TestSkewedPartition(t *testing.T) {
 	// Every logical bucket is placed exactly once and groups are
 	// contiguous in logical order.
 	seen := make([]int, int(set.NumLogical()))
-	for i := range set.places {
-		seen[i] = len(set.places[i])
+	for i := range seen {
+		seen[i] = len(refPlaces(set, units.Index(i)))
 	}
 	for i, n := range seen {
 		if n != 1 {
@@ -293,9 +293,9 @@ func TestSkewedReplicatesIndexBuckets(t *testing.T) {
 	n := int(base.NumBuckets())
 	for i := 0; i < n; i++ {
 		if base.Bucket(units.Index(i)).Kind() == wire.KindData {
-			dataPlaced += len(set.places[i])
+			dataPlaced += len(refPlaces(set, units.Index(i)))
 		} else {
-			idxPlaced += len(set.places[i])
+			idxPlaced += len(refPlaces(set, units.Index(i)))
 		}
 	}
 	if idxPlaced != 8 {
@@ -345,6 +345,19 @@ func TestOccurrenceArithmetic(t *testing.T) {
 	if idx != 2 || start != 10 {
 		t.Errorf("nextBucketAt(0) = (%d, %d), want (2, 10)", idx, start)
 	}
+	if idx, start := set.NextOnChannel(1, 0); idx != 2 || start != 10 {
+		t.Errorf("NextOnChannel(1, 0) = (%d, %d), want (2, 10)", idx, start)
+	}
+	// The one-division occurrence: bucket 2 from t=11 on channel 1 alone
+	// (channel 0 broadcasts it at 40, 100, ...: a cost of 60 pushes
+	// channel 0's candidates past channel 1's 70).
+	costly, err := Build(base, Config{Channels: 2, SwitchCost: 60})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ch, local, at := costly.NextFeasible(2, 11, 1); ch != 1 || local != 2 || at != 70 {
+		t.Errorf("NextFeasible(2, 11, cur 1) = (%d, %d, %d), want (1, 2, 70)", ch, local, at)
+	}
 }
 
 // TestBuildDeterministic pins that the Set is a pure function of its
@@ -364,7 +377,7 @@ func TestBuildDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(a.places, b.places) {
+		if !reflect.DeepEqual(a.placeAt, b.placeAt) || !reflect.DeepEqual(a.place, b.place) {
 			t.Errorf("%+v: placements differ across builds", cfg)
 		}
 		for j := 0; j < a.K(); j++ {

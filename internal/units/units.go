@@ -90,6 +90,14 @@ func CycleOffset(t sim.Time, cycle ByteCount) ByteOffset {
 	return ByteOffset(t % sim.Time(cycle))
 }
 
+// CycleSplit returns CycleBase and CycleOffset of t together, with one
+// division.
+func CycleSplit(t sim.Time, cycle ByteCount) (sim.Time, ByteOffset) {
+	c := sim.Time(cycle)
+	base := (t / c) * c
+	return base, ByteOffset(t - base)
+}
+
 // At anchors an in-cycle offset to an absolute cycle start time.
 func (o ByteOffset) At(base sim.Time) sim.Time { return base + sim.Time(o) }
 
