@@ -106,9 +106,9 @@ func runBoth(t *testing.T, cfg Config) (ref, got *Result) {
 // reproduce the one-request-at-a-time reference loop's Result byte for
 // byte — same request stream, same Welford moments, same P² tail states,
 // same event count. This exercises the closed-form resolver kernel
-// (flat, broadcast disks, signature), the stepped columnar kernel with
-// client-arena rewind (distributed, (1,m), hashing) and the
-// allocate-fresh fallback (hybrid, the signature extensions).
+// (flat, broadcast disks, signature) and the stepped columnar kernel
+// with client-arena rewind (distributed, (1,m), hashing, hybrid, the
+// signature extensions).
 func TestCohortMatchesEventEngineAllSchemes(t *testing.T) {
 	for _, scheme := range SchemeNames() {
 		t.Run(scheme, func(t *testing.T) {
