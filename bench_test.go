@@ -173,9 +173,12 @@ func BenchmarkTQuantile(b *testing.B) {
 }
 
 func BenchmarkSignatureGeneration(b *testing.B) {
-	fields := [][]byte{[]byte("alpha"), []byte("beta"), []byte("gamma"), []byte("delta"), []byte("epsilon")}
+	rec := datagen.Record{Key: 42, Attrs: []string{"alpha", "beta", "gamma", "delta"}}
+	sig := make(signature.Sig, 16)
+	var kbuf []byte
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		signature.RecordSig(fields, 16, 8)
+		clear(sig)
+		kbuf = sig.AddRecord(rec, 16, 8, kbuf)
 	}
 }

@@ -117,14 +117,7 @@ func newHashClient(b Source, c Contract, key uint64) *hashClient {
 
 // hashPosition applies the published hash function (FNV-64a mod Na).
 func hashPosition(keyEnc []byte, na int) int {
-	const offset64 = 14695981039346656037
-	const prime64 = 1099511628211
-	h := uint64(offset64)
-	for _, b := range keyEnc {
-		h ^= uint64(b)
-		h *= prime64
-	}
-	return int(h % uint64(na))
+	return int(sim.FNV64a(keyEnc) % uint64(na))
 }
 
 // control decodes a hash bucket's control part.

@@ -45,11 +45,24 @@ func NewShardRNG(seed int64, shard int) *RNG {
 // draws from splitmix(seed, shard, "faults") so that enabling faults
 // never perturbs the arrival process (DESIGN.md §7).
 func StreamSeed(seed int64, shard int, label string) int64 {
-	h := uint64(14695981039346656037) // FNV-1a offset basis
-	for i := 0; i < len(label); i++ {
-		h = (h ^ uint64(label[i])) * 1099511628211 // FNV-1a prime
+	return SplitMix(int64(uint64(seed)^FNV64a(label)), shard)
+}
+
+// FNV64a returns the 64-bit FNV-1a hash of b. Stream labels, signature
+// fields and the hashing scheme's keys all hash through it.
+//
+//airlint:hotpath
+func FNV64a[B string | []byte](b B) uint64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for i := 0; i < len(b); i++ {
+		h ^= uint64(b[i])
+		h *= prime64
 	}
-	return SplitMix(int64(uint64(seed)^h), shard)
+	return h
 }
 
 // Exponential draws an exponentially distributed duration with the given
