@@ -195,6 +195,39 @@ func TestQuickNextBucketAt(t *testing.T) {
 	}
 }
 
+// TestUniformDivisionMatchesSearch holds NextBucketFrom's division on an
+// equal-size cycle to the binary search every other cycle takes, at
+// every in-cycle offset.
+func TestUniformDivisionMatchesSearch(t *testing.T) {
+	for n := 1; n <= 9; n++ {
+		for size := 1; size <= 7; size++ {
+			sizes := make([]int, n)
+			for i := range sizes {
+				sizes[i] = size
+			}
+			c := buildTest(t, sizes...)
+			if c.uniform != units.Bytes(size) {
+				t.Fatalf("%d buckets of %d bytes: uniform = %d", n, size, c.uniform)
+			}
+			for off := units.Offset64(0); off.Extent() < c.CycleLen(); off++ {
+				gi, gs := c.NextBucketFrom(off)
+				wi, ws := c.firstStartFrom(off), units.Offset64(0).Advance(c.CycleLen())
+				if wi == n {
+					wi = 0
+				} else {
+					ws = c.starts[wi]
+				}
+				if gi != units.Index(wi) || gs != ws {
+					t.Fatalf("%d buckets of %d bytes: NextBucketFrom(%d) = (%d, %d), search (%d, %d)", n, size, off, gi, gs, wi, ws)
+				}
+			}
+		}
+	}
+	if c := buildTest(t, 4, 4, 5); c.uniform != 0 {
+		t.Fatalf("mixed sizes: uniform = %d, want 0", c.uniform)
+	}
+}
+
 // Property: InFlightAt(t) contains t within [start, start+size).
 func TestQuickInFlightAt(t *testing.T) {
 	f := func(rawSizes []uint8, rawT uint32) bool {
