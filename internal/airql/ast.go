@@ -166,6 +166,8 @@ type SetDecl struct {
 	Pos      Pos
 	Expr     *Expr
 	FastExpr *Expr
+
+	nodes [2]*node // Expr and FastExpr compiled, per profile
 }
 
 // RunDecl is one RUN key=value pair.
@@ -188,6 +190,9 @@ type TableDecl struct {
 	Cols  []ColDecl
 	Notes []NoteDecl
 	Sinks []SinkDecl
+
+	x     *node // XExpr compiled
+	xAxis int   // the axis XExpr reads
 }
 
 // ColDecl is one COL stage: a labelled column expression.
@@ -195,6 +200,8 @@ type ColDecl struct {
 	Label string
 	Pos   Pos
 	Expr  *Expr
+
+	node *node
 }
 
 // NoteDecl is one NOTE stage. The string is split into literal text and
@@ -208,6 +215,8 @@ type NoteDecl struct {
 type NotePart struct {
 	Text string
 	Expr *Expr
+
+	node *node
 }
 
 // SinkDecl is one EMIT sink: csv(path) or summary(stdout).
@@ -217,9 +226,8 @@ type SinkDecl struct {
 	Arg  string
 }
 
-// Program is a compiled script: the parsed, validated AST plus the
-// derived execution plan pieces the validator resolves (axis order,
-// knob bindings, run mode).
+// Program is a compiled script: the parsed AST whose expressions
+// Validate has compiled into checked nodes (see node).
 type Program struct {
 	File   string
 	Axes   []AxisDecl
@@ -230,4 +238,9 @@ type Program struct {
 	// Sinks declared before any TABLE (legal only when the script
 	// declares no tables at all: they bind to the implicit table).
 	LooseSinks []SinkDecl
+
+	// implicit is the table of a script without TABLE stages, per
+	// profile; checked is set once Validate accepts the program.
+	implicit [2]*TableDecl
+	checked  bool
 }

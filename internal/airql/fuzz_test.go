@@ -12,7 +12,8 @@ import (
 // validator — over arbitrary input. The contract under fuzzing: never
 // panic; every rejection is an *Error or ErrorList whose diagnostics all
 // carry a 1-based line:col position; and a script Compile accepts builds,
-// under both profiles, only point configs core.Config.Validate accepts.
+// under both profiles, only point configs core.Config.Validate accepts,
+// and evaluates its x, COL and NOTE nodes at every row (evalTables).
 // Run with
 //
 //	go test -fuzz=FuzzCompile ./internal/airql
@@ -51,14 +52,18 @@ func FuzzCompile(f *testing.F) {
 				t.Fatal("nil program with nil error")
 			}
 			for _, fast := range []bool{false, true} {
-				errs := newExecutor(prog, Options{Fast: fast}).pointConfigs(func(_ int, cfg *core.Config) {
+				ex := newExecutor(prog, Options{Fast: fast})
+				ex.cfgs = make([]core.Config, ex.total)
+				errs := ex.pointConfigs(func(li int, cfg *core.Config) {
 					if err := cfg.Validate(); err != nil {
 						t.Fatalf("Compile accepted a point Validate rejects: %v", err)
 					}
+					ex.cfgs[li] = *cfg
 				})
 				if errs != nil {
 					t.Fatalf("Compile accepted a script whose points fail: %v", errs)
 				}
+				evalTables(t, ex)
 			}
 			return
 		}
@@ -83,4 +88,63 @@ func FuzzCompile(f *testing.F) {
 			}
 		}
 	})
+}
+
+// evalTables evaluates every x, COL and NOTE node of an accepted program
+// at every row under ex's profile, over synthetic results (zero
+// statistics and an empty Params map), and fails when a numeric node
+// reads a name.
+func evalTables(t *testing.T, ex *executor) {
+	t.Helper()
+	res := &core.Result{Params: map[string]float64{}}
+	ex.results = make([]*core.Result, ex.total)
+	for i := range ex.results {
+		ex.results[i] = res
+	}
+	ex.attrs = make([]attrRow, ex.total)
+	decls := ex.prog.Tables
+	if len(decls) == 0 {
+		decls = ex.prog.implicit[ex.profile : ex.profile+1]
+	}
+	for _, decl := range decls {
+		// Only the x axis is bound: a node reading any other axis fails.
+		idx := make([]int, len(ex.axes))
+		for i := range idx {
+			idx[i] = -1
+		}
+		for idx[decl.xAxis] = range ex.axes[decl.xAxis].vals {
+			numeric(t, ex, idx, decl.x)
+			for i := range decl.Cols {
+				numeric(t, ex, idx, decl.Cols[i].node)
+			}
+		}
+		for _, note := range decl.Notes {
+			for _, part := range note.Parts {
+				if part.node != nil {
+					operands(t, ex, nil, part.node)
+				}
+			}
+		}
+		ex.buildTable(decl)
+	}
+}
+
+// numeric fails t when n, or an operand of an arithmetic node under it,
+// evaluates to a name.
+func numeric(t *testing.T, ex *executor, idx []int, n *node) {
+	t.Helper()
+	if v := n.eval(ex, idx); v.IsStr {
+		t.Fatalf("a numeric node evaluates to the name %q", v.Str)
+	}
+	operands(t, ex, idx, n)
+}
+
+func operands(t *testing.T, ex *executor, idx []int, n *node) {
+	t.Helper()
+	if n.x != nil {
+		numeric(t, ex, idx, n.x)
+	}
+	if n.y != nil {
+		numeric(t, ex, idx, n.y)
+	}
 }

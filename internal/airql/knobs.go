@@ -145,7 +145,7 @@ func ParseSettings(args []string) ([]Setting, error) {
 		}
 		prog.Sets = append(prog.Sets, SetDecl{Knob: name.Text, Pos: name.Pos, Expr: expr})
 	}
-	v := newValidator(prog)
+	v := &validator{prog: prog, mode: ModeSim}
 	v.checkSets()
 	v.checkFaultKnobs()
 	for i := range prog.Sets {
@@ -156,14 +156,11 @@ func ParseSettings(args []string) ([]Setting, error) {
 	if len(v.errs) > 0 {
 		return nil, v.errs
 	}
-	ex := &executor{prog: prog}
 	settings := make([]Setting, len(prog.Sets))
 	for i := range prog.Sets {
 		set := &prog.Sets[i]
-		val, err := ex.setValue(set, &evalEnv{ex: ex})
-		if err != nil {
-			return nil, err
-		}
+		// With no axes to read, every value checkSets accepts is a constant.
+		val := set.nodes[0].val[0]
 		val.Pos = set.Expr.Pos
 		settings[i] = Setting{kn: lookupKnob(set.Knob), val: val, file: prog.File, session: true}
 	}
@@ -392,11 +389,17 @@ var knobAliases = map[string]string{
 	"avail":      "availability",
 }
 
+// knobNameFor resolves an alias to its canonical knob name.
+func knobNameFor(name string) string {
+	if canon, ok := knobAliases[name]; ok {
+		return canon
+	}
+	return name
+}
+
 // lookupKnob resolves a SET/axis name to its table entry.
 func lookupKnob(name string) *knob {
-	if canon, ok := knobAliases[name]; ok {
-		name = canon
-	}
+	name = knobNameFor(name)
 	for i := range knobTable {
 		if knobTable[i].name == name {
 			return &knobTable[i]

@@ -3,6 +3,8 @@ package airql
 import (
 	"fmt"
 	"math"
+	"path/filepath"
+	"slices"
 	"strings"
 
 	"github.com/airindex/airindex/internal/core"
@@ -18,30 +20,12 @@ const (
 	ModeAttrQuery = "attrquery"
 )
 
-// Metric vocabulary. These names are reserved: axes cannot shadow them.
-var (
-	// bareMetrics are zero-argument per-point metrics.
-	bareMetrics = []string{"requests", "restarts", "wasted", "cycle_bytes", "switches", "unrecovered"}
-	// callMetrics take one identifier argument.
-	callMetrics = []string{"mean", "p95", "p99", "analytic", "param", "attr"}
-	// exprFuncs are plain arithmetic helpers.
-	exprFuncs = []string{"min", "max", "trunc", "count"}
-	// attrMetricNames is attr(...)'s vocabulary, matching the attrquery
-	// harness's four accumulators.
-	attrMetricNames = []string{"flat_access", "flat_tuning", "sig_access", "sig_tuning"}
-)
-
-func inList(name string, list []string) bool {
-	for _, s := range list {
-		if s == name {
-			return true
-		}
-	}
-	return false
-}
+// exprFuncs are the arithmetic helpers. Like metric names, they are
+// reserved: axes cannot shadow them.
+var exprFuncs = []string{"min", "max", "trunc", "count"}
 
 func reservedName(name string) bool {
-	return name == "fast" || inList(name, bareMetrics) || inList(name, callMetrics) || inList(name, exprFuncs)
+	return name == "fast" || lookupMetric(name) != nil || slices.Contains(exprFuncs, name)
 }
 
 // maxPoints bounds a sweep's points per profile, and so the work of
@@ -53,14 +37,12 @@ type validator struct {
 	prog *Program
 	errs ErrorList
 
-	// axisNames in declaration order; axisOf resolves a name.
-	axisNames []string
-
-	// constKnobs are SET knobs whose expressions are constant, per
-	// profile (NOTE interpolation vocabulary). Index 0 = full, 1 = fast.
-	constKnobs [2]map[string]float64
-
 	mode string
+
+	// slab holds the nodes compile hands out; xRefs collects the axes an
+	// x expression reads.
+	slab  []node
+	xRefs []int
 }
 
 func (v *validator) errorf(pos Pos, format string, args ...any) {
@@ -68,11 +50,12 @@ func (v *validator) errorf(pos Pos, format string, args ...any) {
 }
 
 // Validate type-checks a parsed program against the real configuration
-// surface and, once the RUN, axis and SET checks are clean, checks every
-// point the program will run with core.Config.Validate (checkPoints). It
-// returns every diagnostic it can find.
+// surface and compiles each of its expressions into the checked node
+// Execute evaluates. Once the RUN, axis and SET checks are clean, it
+// checks every point the program will run with core.Config.Validate
+// (checkPoints). It returns every diagnostic it can find, each once.
 func Validate(prog *Program) ErrorList {
-	v := newValidator(prog)
+	v := &validator{prog: prog, mode: ModeSim}
 	v.checkRuns()
 	v.checkAxes()
 	v.checkSets()
@@ -82,34 +65,29 @@ func Validate(prog *Program) ErrorList {
 		v.checkPoints()
 	}
 	v.checkTables()
-	return v.errs
+	if prog.checked = len(v.errs) == 0; !prog.checked {
+		return v.errs.unique()
+	}
+	return nil
 }
 
 // checkPoints builds every point of both profiles as Execute would with
 // zero Options, and reports each point core.Config.Validate rejects at
-// the position pointConfig blames, each diagnostic once.
+// the position pointConfig blames.
 func (v *validator) checkPoints() {
-	var errs ErrorList
 	for _, fast := range []bool{false, true} {
-		errs = append(errs, newExecutor(v.prog, Options{Fast: fast}).pointConfigs(func(int, *core.Config) {})...)
+		v.errs = append(v.errs, newExecutor(v.prog, Options{Fast: fast}).pointConfigs(func(int, *core.Config) {})...)
 	}
-	v.errs = append(v.errs, errs.unique()...)
 }
 
-func newValidator(prog *Program) *validator {
-	v := &validator{prog: prog, mode: ModeSim}
-	v.constKnobs[0] = map[string]float64{}
-	v.constKnobs[1] = map[string]float64{}
-	return v
-}
-
-func (v *validator) axisOf(name string) *AxisDecl {
-	for i := range v.prog.Axes {
-		if v.prog.Axes[i].Name == name {
-			return &v.prog.Axes[i]
+// axisIndex resolves an axis name to its first declaration, or -1.
+func (prog *Program) axisIndex(name string) int {
+	for i := range prog.Axes {
+		if prog.Axes[i].Name == name {
+			return i
 		}
 	}
-	return nil
+	return -1
 }
 
 // axisValues returns an axis's value list under a profile.
@@ -158,7 +136,7 @@ func (v *validator) checkRuns() {
 func (v *validator) checkAxes() {
 	for i := range v.prog.Axes {
 		ax := &v.prog.Axes[i]
-		if v.axisOf(ax.Name) != ax {
+		if v.prog.axisIndex(ax.Name) != i {
 			v.errorf(ax.Pos, "duplicate axis %s", ax.Name)
 			continue
 		}
@@ -166,8 +144,6 @@ func (v *validator) checkAxes() {
 			v.errorf(ax.Pos, "axis name %q is reserved (metric and function names cannot be axes)", ax.Name)
 			continue
 		}
-		v.axisNames = append(v.axisNames, ax.Name)
-
 		kn := lookupKnob(ax.Name)
 		profiles := []bool{false}
 		if ax.HasFast {
@@ -215,8 +191,8 @@ func (v *validator) checkAttrQuery() {
 		return
 	}
 	// The attrquery harness hard-codes its flat-vs-signature pair.
-	if ax := v.axisOf("scheme"); ax != nil {
-		v.errorf(ax.Pos, "attrquery mode runs flat and signature; the scheme cannot be swept")
+	if ai := v.prog.axisIndex("scheme"); ai >= 0 {
+		v.errorf(v.prog.Axes[ai].Pos, "attrquery mode runs flat and signature; the scheme cannot be swept")
 	}
 	if len(v.prog.Axes) != 1 || v.prog.Axes[0].Name != "records" {
 		pos := Pos{Line: 1, Col: 1}
@@ -235,36 +211,57 @@ func (v *validator) checkSets() {
 		set := &v.prog.Sets[i]
 		kn := lookupKnob(set.Knob)
 		if kn == nil {
-			if v.axisOf(set.Knob) != nil {
+			if v.prog.axisIndex(set.Knob) >= 0 {
 				v.errorf(set.Pos, "%s is an axis; axes are swept by SWEEP, not assigned by SET", set.Knob)
 			} else {
 				v.errorf(set.Pos, "unknown knob %q (knobs: %s)", set.Knob, strings.Join(KnobNames(), ", "))
 			}
 			continue
 		}
-		for fi, e := range []*Expr{set.Expr, set.FastExpr} {
-			if e == nil {
-				continue
-			}
-			if kn.isString {
-				v.checkStringKnobExpr(kn, e)
-				continue
-			}
-			info := v.checkExpr(e, exprScope{allowAxes: true, knob: kn})
-			if info.constant && !info.isStr {
-				// checkExpr already reported any unit mismatch on the
-				// literal itself, so the folded value is unit-clean here.
-				val := Scalar{Pos: e.Pos, Num: info.num}
-				if msg := checkKnobScalar(kn, val); msg != "" {
-					v.errorf(e.Pos, "%s", msg)
-				}
-				v.constKnobs[fi][kn.name] = info.num
-				if fi == 0 && set.FastExpr == nil {
-					v.constKnobs[1][kn.name] = info.num
-				}
-			}
+		set.nodes[0] = v.compileSet(kn, set.Expr)
+		set.nodes[1] = set.nodes[0]
+		if set.FastExpr != nil {
+			set.nodes[1] = v.compileSet(kn, set.FastExpr)
 		}
 	}
+}
+
+// compileSet checks a SET's value against its knob. A vocabulary knob
+// takes a name, bare or quoted, or a string axis; any other knob takes
+// an expression, whose value is checked here when it is a constant.
+func (v *validator) compileSet(kn *knob, e *Expr) *node {
+	if !kn.isString {
+		n := v.compile(e, scope{knob: kn, x: -1})
+		// compile reported any unit mismatch at the literal itself, so
+		// the folded value is checked without its unit.
+		if n.kind == nodeConst && !n.str {
+			if msg := checkKnobScalar(kn, Scalar{Num: n.val[0].Num}); msg != "" {
+				v.errorf(e.Pos, "%s", msg)
+			}
+		}
+		return n
+	}
+	name := e.Str
+	switch e.Kind {
+	case ExprStr:
+	case ExprVar:
+		if ai := v.prog.axisIndex(e.Name); ai >= 0 {
+			n := v.node()
+			n.kind, n.axis, n.str = nodeAxis, ai, axisIsString(&v.prog.Axes[ai])
+			if !n.str {
+				v.errorf(e.Pos, "knob %s takes a name but axis %s holds numbers", kn.name, e.Name)
+			}
+			return n
+		}
+		name = e.Name
+	default:
+		v.errorf(e.Pos, "knob %s takes a name (%s), not an expression", kn.name, kn.vocabDoc)
+		return v.node()
+	}
+	if _, ok := kn.vocab(name); !ok {
+		v.errorf(e.Pos, "knob %s: unknown value %q (%s)", kn.name, name, kn.vocabDoc)
+	}
+	return v.constant(Scalar{IsStr: true, Str: name})
 }
 
 // checkFaultKnobs rejects fault.retries and fault.recovery when nothing
@@ -311,333 +308,278 @@ func (v *validator) checkFaultKnobs() {
 	}
 }
 
-// checkStringKnobExpr validates a vocabulary knob's value: a quoted
-// string, a bare name, or a reference to a string axis.
-func (v *validator) checkStringKnobExpr(kn *knob, e *Expr) {
-	switch e.Kind {
-	case ExprStr:
-		if _, ok := kn.vocab(e.Str); !ok {
-			v.errorf(e.Pos, "knob %s: unknown value %q (%s)", kn.name, e.Str, kn.vocabDoc)
-		}
-	case ExprVar:
-		if ax := v.axisOf(e.Name); ax != nil {
-			if !axisIsString(ax) {
-				v.errorf(e.Pos, "knob %s takes a name but axis %s holds numbers", kn.name, e.Name)
-			}
-			return
-		}
-		if _, ok := kn.vocab(e.Name); !ok {
-			v.errorf(e.Pos, "knob %s: unknown value %q (%s)", kn.name, e.Name, kn.vocabDoc)
-		}
+// scope says where an expression appears, and so what it may read: a
+// SET's (knob set), an x expression's, a COL's (col set) or a NOTE's.
+type scope struct {
+	knob *knob // a SET's knob, for unit errors
+	col  bool  // a COL expression: metrics resolve
+	note bool  // a NOTE interpolation: constants only
+	x    int   // the table's x axis in a COL expression, else -1
+}
+
+func (sc scope) String() string {
+	switch {
+	case sc.note:
+		return "a NOTE interpolation"
+	case sc.knob != nil:
+		return "the expression for knob " + sc.knob.name
 	default:
-		v.errorf(e.Pos, "knob %s takes a name (%s), not an expression", kn.name, kn.vocabDoc)
+		return "a table expression"
 	}
 }
 
-// exprScope says what an expression may reference where it appears.
-type exprScope struct {
-	allowAxes    bool
-	allowMetrics bool
-	noteMode     bool
-	knob         *knob // SET target, for unit errors
-	table        *TableDecl
-	xAxis        string // the table's x axis, when its x expression has one
-}
-
-// exprInfo is the static shape of a checked expression.
-type exprInfo struct {
-	isStr    bool
-	constant bool
-	num      float64
-	hasBytes bool
-	// axisRefs lists axes referenced outside selectors, in first-use
-	// order (the x-expression check needs exactly one).
-	axisRefs []string
-}
-
-func mergeRefs(a, b []string) []string {
-	for _, r := range b {
-		if !inList(r, a) {
-			a = append(a, r)
-		}
+// node returns a zeroed node, allocating them a chunk at a time.
+func (v *validator) node() *node {
+	if len(v.slab) == 0 {
+		v.slab = make([]node, 16)
 	}
-	return a
+	n := &v.slab[0]
+	v.slab = v.slab[1:]
+	return n
 }
 
-// checkExpr walks an expression, collecting diagnostics; it returns what
-// it could determine statically.
-func (v *validator) checkExpr(e *Expr, sc exprScope) exprInfo {
+// constant makes a node of one value under both profiles.
+func (v *validator) constant(val Scalar) *node {
+	n := v.node()
+	n.val, n.str = [2]Scalar{val, val}, val.IsStr
+	return n
+}
+
+// compile checks e where sc puts it and returns its node, folded to a
+// constant where every operand is one. A node that fails a check is still
+// returned, so that one bad operand does not hide the checks of the next.
+func (v *validator) compile(e *Expr, sc scope) *node {
 	switch e.Kind {
 	case ExprNum:
 		if e.Bytes && sc.knob != nil && !sc.knob.isBytes {
 			v.errorf(e.Pos, "unit mismatch: knob %s is dimensionless but the value has a byte unit", sc.knob.name)
 		}
 		if e.Bytes && sc.knob == nil {
-			v.errorf(e.Pos, "byte units only apply to byte-quantity knobs, not to %s", describeScope(sc))
+			v.errorf(e.Pos, "byte units only apply to byte-quantity knobs, not to %s", sc)
 		}
-		return exprInfo{constant: true, num: e.Num, hasBytes: e.Bytes}
+		return v.constant(Scalar{Num: e.Num, Bytes: e.Bytes})
 	case ExprStr:
-		v.errorf(e.Pos, "a string cannot appear in %s", describeScope(sc))
-		return exprInfo{isStr: true}
+		v.errorf(e.Pos, "a string cannot appear in %s", sc)
+		return v.constant(Scalar{IsStr: true, Str: e.Str})
 	case ExprVar:
-		return v.checkVar(e, sc)
+		if def := lookupMetric(e.Name); def != nil && def.bare() {
+			return v.compileMetric(e, sc, def)
+		}
+		return v.compileName(e, sc)
 	case ExprCall:
-		return v.checkCall(e, sc)
-	case ExprOp:
-		xi := v.checkExpr(e.X, sc)
-		info := exprInfo{axisRefs: xi.axisRefs, hasBytes: xi.hasBytes}
-		var yi exprInfo
+		if def := lookupMetric(e.Name); def != nil {
+			return v.compileMetric(e, sc, def)
+		}
+		return v.compileFunc(e, sc)
+	default: // ExprOp
+		x := v.compile(e.X, sc)
+		var y *node
 		if e.Y != nil {
-			yi = v.checkExpr(e.Y, sc)
-			info.axisRefs = mergeRefs(info.axisRefs, yi.axisRefs)
-			info.hasBytes = info.hasBytes || yi.hasBytes
+			y = v.compile(e.Y, sc)
 		}
-		if xi.isStr || yi.isStr {
-			v.errorf(e.Pos, "arithmetic over names is not defined")
-			return info
-		}
-		if xi.constant && (e.Y == nil || yi.constant) {
-			info.constant = true
-			switch e.Op {
-			case OpAdd:
-				info.num = xi.num + yi.num
-			case OpSub:
-				info.num = xi.num - yi.num
-			case OpMul:
-				info.num = xi.num * yi.num
-			case OpDiv:
-				info.num = xi.num / yi.num
-			case OpNeg:
-				info.num = -xi.num
-			default:
-				info.constant = false
-			}
-		}
-		return info
-	default:
-		return exprInfo{}
+		return v.arith(e.Pos, opKinds[e.Op], x, y)
 	}
 }
 
-func describeScope(sc exprScope) string {
-	switch {
-	case sc.noteMode:
-		return "a NOTE interpolation"
-	case sc.table != nil:
-		return "a table expression"
-	case sc.knob != nil:
-		return "the expression for knob " + sc.knob.name
-	default:
-		return "this expression"
+// arith makes an arithmetic node over numeric operands, folded when
+// they are constants.
+func (v *validator) arith(pos Pos, kind nodeKind, x, y *node) *node {
+	if x.str || y != nil && y.str {
+		v.errorf(pos, "arithmetic over names is not defined")
 	}
+	n := v.node()
+	if x.kind != nodeConst || y != nil && y.kind != nodeConst {
+		n.kind, n.x, n.y = kind, x, y
+		return n
+	}
+	for p := range n.val {
+		yv := 0.0
+		if y != nil {
+			yv = y.val[p].Num
+		}
+		n.val[p].Num = arith(kind, x.val[p].Num, yv)
+	}
+	return n
 }
 
-func (v *validator) checkVar(e *Expr, sc exprScope) exprInfo {
-	if inList(e.Name, bareMetrics) {
-		if !sc.allowMetrics {
-			v.errorf(e.Pos, "metric %s can only appear in COL expressions", e.Name)
-			return exprInfo{}
+// compileName resolves a bare name: an axis or, in a NOTE, a constant
+// knob. An x or SET expression reads any axis at the point; a COL reads
+// the x axis there and the single-valued ones as constants; a NOTE reads
+// only constants.
+func (v *validator) compileName(e *Expr, sc scope) *node {
+	if ai := v.prog.axisIndex(e.Name); ai >= 0 {
+		ax := &v.prog.Axes[ai]
+		switch single := single(ax); {
+		case sc.note && !single:
+			v.errorf(e.Pos, "NOTE interpolation must be constant per profile; axis %s takes several values (use count(%s) for its length)", e.Name, e.Name)
+		case (sc.note || sc.col && ai != sc.x) && single:
+			n := v.node()
+			n.val, n.str = [2]Scalar{axisValues(ax, false)[0], axisValues(ax, true)[0]}, axisIsString(ax)
+			return n
+		case sc.col && ai != sc.x:
+			v.errorf(e.Pos, "axis %s takes several values; a COL expression reads only the x axis and single-valued axes", e.Name)
+		case !sc.col && sc.knob == nil && !slices.Contains(v.xRefs, ai):
+			v.xRefs = append(v.xRefs, ai)
 		}
-		if v.mode == ModeAttrQuery {
-			v.errorf(e.Pos, "metric %s is a simulator metric; attrquery columns use attr(...)", e.Name)
-		}
-		return exprInfo{}
+		n := v.node()
+		n.kind, n.axis, n.str = nodeAxis, ai, axisIsString(ax)
+		return n
 	}
-	if ax := v.axisOf(e.Name); ax != nil {
-		if sc.noteMode {
-			if len(axisValues(ax, false)) > 1 || len(axisValues(ax, true)) > 1 {
-				v.errorf(e.Pos, "NOTE interpolation must be constant per profile; axis %s takes several values (use count(%s) for its length)", e.Name, e.Name)
-				return exprInfo{}
+	if sc.note {
+		// The last SET of a knob is the one each point applies.
+		kn := lookupKnob(e.Name)
+		for i := len(v.prog.Sets) - 1; kn != nil && i >= 0; i-- {
+			set := &v.prog.Sets[i]
+			if lookupKnob(set.Knob) != kn {
+				continue
 			}
-			return exprInfo{axisRefs: []string{e.Name}, isStr: axisIsString(ax)}
-		}
-		if !sc.allowAxes {
-			v.errorf(e.Pos, "axis %s cannot be referenced in %s", e.Name, describeScope(sc))
-			return exprInfo{}
-		}
-		return exprInfo{axisRefs: []string{e.Name}, isStr: axisIsString(ax)}
-	}
-	if sc.noteMode {
-		for fi := range v.constKnobs {
-			if val, ok := v.constKnobs[fi][knobNameFor(e.Name)]; ok {
-				return exprInfo{constant: fi == 0, num: val}
+			if full, fast := set.nodes[0], set.nodes[1]; full.kind == nodeConst && fast.kind == nodeConst {
+				n := v.node()
+				n.val, n.str = [2]Scalar{full.val[0], fast.val[1]}, full.str
+				return n
 			}
+			break
 		}
 		v.errorf(e.Pos, "unknown name %q in NOTE interpolation (constant knobs, single-valued axes and count(axis) are allowed)", e.Name)
-		return exprInfo{}
+		return v.node()
 	}
-	v.errorf(e.Pos, "unknown name %q (not an axis%s)", e.Name, map[bool]string{true: " or metric", false: ""}[sc.allowMetrics])
-	return exprInfo{}
+	v.errorf(e.Pos, "unknown name %q (not an axis%s)", e.Name, map[bool]string{true: " or metric", false: ""}[sc.col])
+	return v.node()
 }
 
-// knobNameFor resolves aliases for NOTE lookups.
-func knobNameFor(name string) string {
-	if canon, ok := knobAliases[name]; ok {
-		return canon
+// compileFunc checks a call of count, trunc, min or max.
+func (v *validator) compileFunc(e *Expr, sc scope) *node {
+	if !slices.Contains(exprFuncs, e.Name) {
+		v.errorf(e.Pos, "unknown function or metric %q", e.Name)
+		return v.node()
 	}
-	return name
-}
-
-func (v *validator) checkCall(e *Expr, sc exprScope) exprInfo {
-	name := e.Name
-	switch {
-	case inList(name, exprFuncs):
-		if len(e.Sel) > 0 {
-			v.errorf(e.Sel[0].Pos, "%s is a function, not a metric; selectors do not apply", name)
-		}
-		return v.checkFunc(e, sc)
-	case inList(name, callMetrics), inList(name, bareMetrics):
-		if !sc.allowMetrics {
-			v.errorf(e.Pos, "metric %s can only appear in COL expressions", name)
-			return exprInfo{}
-		}
-		v.checkMetric(e, sc)
-		return exprInfo{}
-	default:
-		v.errorf(e.Pos, "unknown function or metric %q", name)
-		return exprInfo{}
+	if len(e.Sel) > 0 {
+		v.errorf(e.Sel[0].Pos, "%s is a function, not a metric; selectors do not apply", e.Name)
 	}
-}
-
-func (v *validator) checkFunc(e *Expr, sc exprScope) exprInfo {
 	switch e.Name {
 	case "count":
-		if !sc.noteMode {
+		if !sc.note {
 			v.errorf(e.Pos, "count(axis) can only appear in NOTE interpolations")
-			return exprInfo{}
+			return v.node()
 		}
-		if len(e.Args) != 1 || e.Args[0].Kind != ExprVar || v.axisOf(e.Args[0].Name) == nil {
+		ai := -1
+		if len(e.Args) == 1 && e.Args[0].Kind == ExprVar {
+			ai = v.prog.axisIndex(e.Args[0].Name)
+		}
+		n := v.node()
+		if ai < 0 {
 			v.errorf(e.Pos, "count takes one axis name")
-			return exprInfo{}
+			return n
 		}
-		return exprInfo{}
+		for p := range n.val {
+			n.val[p].Num = float64(len(axisValues(&v.prog.Axes[ai], p == 1)))
+		}
+		return n
 	case "trunc":
 		if len(e.Args) != 1 {
 			v.errorf(e.Pos, "trunc takes exactly one argument")
-			return exprInfo{}
+			return v.node()
 		}
-		info := v.checkExpr(e.Args[0], sc)
-		if info.constant {
-			info.num = math.Trunc(info.num)
-		}
-		return info
-	case "min", "max":
+		return v.arith(e.Pos, nodeTrunc, v.compile(e.Args[0], sc), nil)
+	default: // min, max
 		if len(e.Args) < 2 {
 			v.errorf(e.Pos, "%s takes at least two arguments", e.Name)
-			return exprInfo{}
+			return v.node()
 		}
-		out := exprInfo{constant: true}
-		for i, a := range e.Args {
-			info := v.checkExpr(a, sc)
-			out.axisRefs = mergeRefs(out.axisRefs, info.axisRefs)
-			out.hasBytes = out.hasBytes || info.hasBytes
-			if !info.constant {
-				out.constant = false
-				continue
-			}
-			if i == 0 || !out.constant {
-				out.num = info.num
-				continue
-			}
-			if e.Name == "min" {
-				out.num = math.Min(out.num, info.num)
-			} else {
-				out.num = math.Max(out.num, info.num)
-			}
+		kind := nodeMax
+		if e.Name == "min" {
+			kind = nodeMin
 		}
-		return out
-	default:
-		v.errorf(e.Pos, "unknown function %q", e.Name)
-		return exprInfo{}
+		n := v.compile(e.Args[0], sc)
+		for _, a := range e.Args[1:] {
+			n = v.arith(e.Pos, kind, n, v.compile(a, sc))
+		}
+		return n
 	}
 }
 
-// checkMetric validates a metric atom's argument, selector and pinning.
-func (v *validator) checkMetric(e *Expr, sc exprScope) {
-	arg := ""
+// compileMetric checks a metric atom: its argument, its run mode, and
+// that its selector, the x axis and the single-valued axes pin one point.
+func (v *validator) compileMetric(e *Expr, sc scope, def *metricDef) *node {
+	n := v.node()
+	if !sc.col {
+		v.errorf(e.Pos, "metric %s can only appear in COL expressions", e.Name)
+		return n
+	}
 	if len(e.Args) > 0 {
 		if len(e.Args) != 1 || e.Args[0].Kind != ExprVar {
 			v.errorf(e.Pos, "metric %s takes one identifier argument", e.Name)
-			return
+			return n
 		}
-		arg = e.Args[0].Name
+		n.arg = e.Args[0].Name
 	}
-	switch e.Name {
-	case "mean":
-		if !inList(arg, []string{"access", "tuning", "probes", "energy"}) {
-			v.errorf(e.Pos, "mean takes access, tuning, probes or energy, not %q", arg)
-		}
-	case "p95", "p99":
-		if !inList(arg, []string{"access", "tuning"}) {
-			v.errorf(e.Pos, "%s takes access or tuning, not %q", e.Name, arg)
-		}
-	case "analytic":
-		if !inList(arg, []string{"access", "tuning"}) {
-			v.errorf(e.Pos, "analytic takes access or tuning, not %q", arg)
-		}
-	case "param":
-		if arg == "" {
-			v.errorf(e.Pos, "param takes the name of a scheme parameter, e.g. param(fanout)")
-		}
-	case "attr":
-		if v.mode != ModeAttrQuery {
-			v.errorf(e.Pos, "attr(...) only applies in RUN mode=attrquery scripts")
-		}
-		if !inList(arg, attrMetricNames) {
-			v.errorf(e.Pos, "attr takes one of %s, not %q", strings.Join(attrMetricNames, ", "), arg)
-		}
-		return // no selector machinery: attrquery has a single axis
-	default:
-		if arg != "" {
-			v.errorf(e.Pos, "metric %s takes no argument", e.Name)
-		}
+	n.kind, n.axis, n.read = nodeMetric, sc.x, def.reader(n.arg)
+	if n.read == nil {
+		v.errorf(e.Pos, "%s", def.usage(n.arg))
 	}
-	if v.mode == ModeAttrQuery {
+	switch attrMode := v.mode == ModeAttrQuery; {
+	case def.attr && !attrMode:
+		v.errorf(e.Pos, "attr(...) only applies in RUN mode=attrquery scripts")
+		return n
+	case !def.attr && attrMode:
 		v.errorf(e.Pos, "metric %s is a simulator metric; attrquery columns use attr(...)", e.Name)
-		return
+		return n
 	}
-
-	// Selector checks: keys must be axes, values must be values the axis
-	// actually takes, and together with the x axis and single-valued
-	// axes they must pin every axis to one point.
-	pinned := map[string]bool{}
-	if sc.xAxis != "" {
-		pinned[sc.xAxis] = true
+	for i, s := range e.Sel {
+		ai := v.prog.axisIndex(s.Key)
+		switch {
+		case ai < 0:
+			v.errorf(s.Pos, "selector key %q is not an axis", s.Key)
+			continue
+		case ai == sc.x:
+			v.errorf(s.Pos, "selector pins %s, which is the table's x axis", s.Key)
+			continue
+		case selects(e.Sel[:i], s.Key):
+			v.errorf(s.Pos, "selector pins %s twice", s.Key)
+			continue
+		}
+		var lacks []string
+		for p, profile := range [2]string{"full", "fast"} {
+			if vi := valueIndex(axisValues(&v.prog.Axes[ai], p == 1), s.Val); vi >= 0 {
+				n.off[p] += vi * span(v.prog.Axes, ai, p == 1)
+			} else {
+				lacks = append(lacks, profile)
+			}
+		}
+		switch len(lacks) {
+		case 1:
+			v.errorf(s.Val.Pos, "axis %s has no value %s under the %s profile", s.Key, s.Val, lacks[0])
+		case 2:
+			v.errorf(s.Val.Pos, "axis %s never takes the value %s", s.Key, s.Val)
+		}
 	}
 	for i := range v.prog.Axes {
 		ax := &v.prog.Axes[i]
-		if len(axisValues(ax, false)) <= 1 && len(axisValues(ax, true)) <= 1 {
-			pinned[ax.Name] = true
+		if i != sc.x && !single(ax) && !selects(e.Sel, ax.Name) && !reservedName(ax.Name) {
+			v.errorf(e.Pos, "metric %s does not pin axis %s (add {%s=...} or make it the x axis)", e.Name, ax.Name, ax.Name)
 		}
 	}
-	for _, s := range e.Sel {
-		ax := v.axisOf(s.Key)
-		if ax == nil {
-			v.errorf(s.Pos, "selector key %q is not an axis", s.Key)
-			continue
-		}
-		if s.Key == sc.xAxis {
-			v.errorf(s.Pos, "selector pins %s, which is the table's x axis", s.Key)
-			continue
-		}
-		found := false
-		for _, profileFast := range []bool{false, true} {
-			for _, val := range axisValues(ax, profileFast) {
-				if scalarsEqual(val, s.Val) {
-					found = true
-				}
-			}
-		}
-		if !found {
-			v.errorf(s.Val.Pos, "axis %s never takes the value %s", s.Key, s.Val)
-		}
-		pinned[s.Key] = true
-	}
-	for _, name := range v.axisNames {
-		if !pinned[name] {
-			v.errorf(e.Pos, "metric %s does not pin axis %s (add {%s=...} or make it the x axis)", e.Name, name, name)
+	return n
+}
+
+// selects reports whether a selector names the axis.
+func selects(sel []SelItem, axis string) bool {
+	return slices.ContainsFunc(sel, func(s SelItem) bool { return s.Key == axis })
+}
+
+// single reports whether an axis takes one value under both profiles.
+func single(ax *AxisDecl) bool {
+	return len(axisValues(ax, false)) == 1 && len(axisValues(ax, true)) == 1
+}
+
+// valueIndex is the index of s in vals, or -1.
+func valueIndex(vals []Scalar, s Scalar) int {
+	for i, val := range vals {
+		if scalarsEqual(val, s) {
+			return i
 		}
 	}
+	return -1
 }
 
 // scalarsEqual compares axis values without floating == (bit equality
@@ -658,13 +600,13 @@ func (v *validator) checkTables() {
 			v.errorf(Pos{Line: 1, Col: 1}, "script has no TABLE and no EMIT; it would compute nothing")
 			return
 		}
-		t, err := implicitTable(v.prog, false)
-		if err != nil {
-			v.errs = append(v.errs, err)
-			return
+		// The implicit table's columns depend on the profile.
+		for p := range v.prog.implicit {
+			if v.prog.implicit[p] = v.implicitTable(p); v.prog.implicit[p] == nil {
+				return
+			}
 		}
-		v.checkTable(t)
-		v.checkSinks(t.Sinks)
+		v.checkSinks(v.prog.LooseSinks)
 		return
 	}
 	if len(v.prog.LooseSinks) > 0 {
@@ -683,20 +625,19 @@ func (v *validator) checkTables() {
 }
 
 func (v *validator) checkTable(t *TableDecl) {
+	t.xAxis = -1
 	if t.XExpr == nil {
 		v.errorf(t.Pos, "table %s needs an x(...) expression", t.ID)
 		return
 	}
-	info := v.checkExpr(t.XExpr, exprScope{allowAxes: true, table: t})
-	if info.isStr {
+	v.xRefs = v.xRefs[:0]
+	if t.x = v.compile(t.XExpr, scope{x: -1}); t.x.str {
 		v.errorf(t.XExpr.Pos, "table %s: the x expression must be numeric", t.ID)
 	}
-	if len(info.axisRefs) != 1 {
-		v.errorf(t.XExpr.Pos, "table %s: the x expression must reference exactly one axis, found %d", t.ID, len(info.axisRefs))
-	}
-	xAxis := ""
-	if refs := exprAxisRefs(v.prog, t.XExpr); len(refs) == 1 {
-		xAxis = refs[0]
+	if len(v.xRefs) != 1 {
+		v.errorf(t.XExpr.Pos, "table %s: the x expression must reference exactly one axis, found %d", t.ID, len(v.xRefs))
+	} else {
+		t.xAxis = v.xRefs[0]
 	}
 	if len(t.Cols) == 0 {
 		v.errorf(t.Pos, "table %s has no COL stages", t.ID)
@@ -708,18 +649,72 @@ func (v *validator) checkTable(t *TableDecl) {
 			v.errorf(col.Pos, "table %s: duplicate column %q", t.ID, col.Label)
 		}
 		colSeen[col.Label] = true
-		ci := v.checkExpr(col.Expr, exprScope{allowAxes: true, allowMetrics: true, table: t, xAxis: xAxis})
-		if ci.isStr {
+		if col.node = v.compile(col.Expr, scope{col: true, x: t.xAxis}); col.node.str {
 			v.errorf(col.Expr.Pos, "table %s: column %q must be numeric", t.ID, col.Label)
 		}
 	}
 	for i := range t.Notes {
-		for _, part := range t.Notes[i].Parts {
-			if part.Expr != nil {
-				v.checkExpr(part.Expr, exprScope{noteMode: true})
+		for j := range t.Notes[i].Parts {
+			if part := &t.Notes[i].Parts[j]; part.Expr != nil {
+				part.node = v.compile(part.Expr, scope{note: true, x: -1})
 			}
 		}
 	}
+}
+
+// scriptName is a script's display name: the file base without .airql.
+func scriptName(file string) string {
+	id := strings.TrimSuffix(filepath.Base(file), ".airql")
+	if id == "" || id == "." {
+		return "sweep"
+	}
+	return id
+}
+
+// implicitTable builds, already compiled, the table of a script that
+// EMITs without declaring one (the one-liner form) under profile p: x is
+// the first numeric axis, and every combination of the other axes that
+// take several values becomes an access/tuning column pair.
+func (v *validator) implicitTable(p int) *TableDecl {
+	axes, pos := v.prog.Axes, Pos{Line: 1, Col: 1}
+	xi := slices.IndexFunc(axes, func(ax AxisDecl) bool { return !axisIsString(&ax) })
+	switch {
+	case xi < 0:
+		v.errorf(pos, "EMIT without TABLE needs at least one numeric axis for the x column")
+		return nil
+	case v.mode == ModeAttrQuery:
+		v.errorf(pos, "EMIT without TABLE reads simulator metrics; attrquery columns use attr(...)")
+		return nil
+	}
+	t := &TableDecl{ID: scriptName(v.prog.File), Pos: pos, Title: "ad-hoc sweep", XLabel: axes[xi].Name, YLabel: "bytes",
+		Sinks: v.prog.LooseSinks, x: &node{kind: nodeAxis, axis: xi}, xAxis: xi}
+	type combo struct {
+		label string
+		off   int // the linear index of its point at the x axis's first value
+	}
+	combos := []combo{{}}
+	for i := range axes {
+		vals := axisValues(&axes[i], p == 1)
+		if i == xi || len(vals) == 1 {
+			continue
+		}
+		var next []combo
+		for _, c := range combos {
+			for vi, val := range vals {
+				next = append(next, combo{c.label + axes[i].Name + "=" + val.String() + " ", c.off + vi*span(axes, i, p == 1)})
+			}
+		}
+		combos = next
+	}
+	mean := lookupMetric("mean")
+	for _, c := range combos {
+		for _, arg := range []string{"access", "tuning"} {
+			n := &node{kind: nodeMetric, axis: xi, read: mean.reader(arg)}
+			n.off[p] = c.off
+			t.Cols = append(t.Cols, ColDecl{Label: c.label + arg, Pos: pos, node: n})
+		}
+	}
+	return t
 }
 
 func (v *validator) checkSinks(sinks []SinkDecl) {

@@ -1,6 +1,10 @@
 package airql
 
-import "testing"
+import (
+	"testing"
+
+	"github.com/airindex/airindex/scenarios"
+)
 
 // errStrings compiles a script and returns every diagnostic, formatted.
 func errStrings(t *testing.T, src string) []string {
@@ -270,6 +274,55 @@ EMIT csv(results/t.csv)
 `, []string{
 			`t.airql:2:12: core: shards 30000 exceeds max requests 20000; every shard needs at least one request of budget`,
 		}},
+		{"multi-valued axis in a COL expression", `
+SWEEP onem.m=1,2
+SWEEP records=1000,2000
+SET scheme=onem
+TABLE t x(records)
+COL "a" mean(access){onem.m=1} + onem.m
+`, []string{
+			`t.airql:6:34: axis onem.m takes several values; a COL expression reads only the x axis and single-valued axes`,
+		}},
+		{"selector value missing from one profile", `
+SWEEP onem.m=1,2,4 fast(1,2)
+SWEEP records=1000,2000
+SET scheme=onem
+TABLE t x(records)
+COL "a" mean(access){onem.m=4}
+`, []string{
+			`t.airql:6:29: axis onem.m has no value 4 under the fast profile`,
+		}},
+		{"min over a name", `
+SWEEP scheme=dist
+SWEEP records=1000,2000
+TABLE t x(records)
+COL "a" min(mean(access), 3, scheme)
+`, []string{
+			`t.airql:5:9: arithmetic over names is not defined`,
+		}},
+		{"selector pins an axis twice", `
+SWEEP scheme=flat,dist
+SWEEP records=1000,2000
+TABLE t x(records)
+COL "a" mean(access){scheme=flat,scheme=dist}
+`, []string{
+			`t.airql:5:34: selector pins scheme twice`,
+		}},
+		{"bare counter does not pin an axis", `
+SWEEP scheme=flat,dist
+SWEEP records=1000,2000
+TABLE t x(records)
+COL "a" requests
+`, []string{
+			`t.airql:5:9: metric requests does not pin axis scheme (add {scheme=...} or make it the x axis)`,
+		}},
+		{"implicit table in attrquery mode", `
+RUN mode=attrquery
+SWEEP records=1000,2000
+EMIT csv(results/t.csv)
+`, []string{
+			`t.airql:1:1: EMIT without TABLE reads simulator metrics; attrquery columns use attr(...)`,
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -364,6 +417,25 @@ func TestErrorListSummary(t *testing.T) {
 	} {
 		if got := c.list.Error(); got != c.want {
 			t.Errorf("%d errors: got %q, want %q", len(c.list), got, c.want)
+		}
+	}
+}
+
+// compiled keeps BenchmarkCompile's result live.
+var compiled *Program
+
+// BenchmarkCompile is the fig4-paper benchmark's setup_s at the layer
+// where it is spent: one Compile of scenarios/fig4.airql.
+func BenchmarkCompile(b *testing.B) {
+	src, err := scenarios.Source("fig4.airql")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if compiled, err = Compile("fig4.airql", src); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
