@@ -1,48 +1,5 @@
 package airql
 
-// StageKind identifies a pipeline stage. Closed enum: the airlint
-// exhaustive analyzer polices every switch over it.
-type StageKind uint8
-
-const (
-	// StageSweep declares experiment axes (SWEEP name=values ...).
-	StageSweep StageKind = iota
-	// StageSet assigns a knob per point (SET knob=expr ...).
-	StageSet
-	// StageRun configures the session (RUN seed=.. shards=.. mode=..).
-	StageRun
-	// StageTable opens a table declaration (TABLE id title(..) x(..) ...).
-	StageTable
-	// StageCol adds a column to the current table (COL "label" expr).
-	StageCol
-	// StageNote attaches a note to the current table (NOTE "text {expr}").
-	StageNote
-	// StageEmit binds output sinks (EMIT csv(path) summary(stdout)).
-	StageEmit
-)
-
-// String names the stage keyword.
-func (k StageKind) String() string {
-	switch k {
-	case StageSweep:
-		return "SWEEP"
-	case StageSet:
-		return "SET"
-	case StageRun:
-		return "RUN"
-	case StageTable:
-		return "TABLE"
-	case StageCol:
-		return "COL"
-	case StageNote:
-		return "NOTE"
-	case StageEmit:
-		return "EMIT"
-	default:
-		return "stage(?)"
-	}
-}
-
 // OpKind identifies an arithmetic operator in an expression. Closed
 // enum under the exhaustive analyzer.
 type OpKind uint8
@@ -56,24 +13,6 @@ const (
 	// OpNeg is unary minus.
 	OpNeg
 )
-
-// String names the operator.
-func (k OpKind) String() string {
-	switch k {
-	case OpAdd:
-		return "+"
-	case OpSub:
-		return "-"
-	case OpMul:
-		return "*"
-	case OpDiv:
-		return "/"
-	case OpNeg:
-		return "-"
-	default:
-		return "op(?)"
-	}
-}
 
 // ExprKind discriminates Expr nodes. Closed enum under the exhaustive
 // analyzer, which is exactly why the AST uses a tagged struct instead

@@ -181,3 +181,15 @@ func TestRatioConfigs(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkGenerate times one paper-scale half dictionary, the size each
+// cohort-clean scheme generates.
+func BenchmarkGenerate(b *testing.B) {
+	cfg := Default(17500)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Generate(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
