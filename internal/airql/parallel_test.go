@@ -87,6 +87,45 @@ func TestSharedDatasetErrorReachesEveryPoint(t *testing.T) {
 	}
 }
 
+// TestDatasetFamilyMatchesRunOne: points whose data configs differ only
+// in the record count read prefixes of one dataset generated at the largest
+// count, and each result must still equal core.RunOne of its config. A
+// family whose largest count cannot be generated fails only that count.
+func TestDatasetFamilyMatchesRunOne(t *testing.T) {
+	var cfgs []core.Config
+	for _, records := range []int{1500, 600, 1000} {
+		for _, scheme := range []string{"flat", "hashing"} {
+			cfgs = append(cfgs, fast.BaseConfig(scheme, records))
+		}
+	}
+	got, err := runPoints(fast, cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, cfg := range cfgs {
+		want, err := core.RunOne(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got[i], want) {
+			t.Errorf("%s @ %d records: family-prefix result differs from RunOne:\n got %+v\nwant %+v",
+				cfg.Scheme, cfg.Data.NumRecords, got[i], want)
+		}
+	}
+
+	bad := datagen.Config{NumRecords: 600000, RecordSize: 5, KeySize: 4, NumAttributes: 1, Seed: 1}
+	_, genErr := datagen.Generate(bad)
+	small := fast.BaseConfig("flat", 200)
+	small.Data = bad
+	small.Data.NumRecords = 200
+	big := fast.BaseConfig("flat", bad.NumRecords)
+	big.Data = bad
+	_, err = runPoints(fast, []core.Config{small, big})
+	if want := fmt.Sprintf("flat @ %d records: %v", bad.NumRecords, genErr); genErr == nil || err == nil || err.Error() != want {
+		t.Fatalf("got %v, want only %s", err, want)
+	}
+}
+
 // TestRunPointErrorPrefixOnce: a failing point's error carries its
 // scheme @ records prefix and the validator's own prefix, once.
 func TestRunPointErrorPrefixOnce(t *testing.T) {
