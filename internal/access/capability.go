@@ -5,11 +5,11 @@ import (
 )
 
 // This file defines the optional capabilities a Broadcast or Client may
-// implement to let the request engine's batch kernels (internal/cohort)
-// advance huge request populations cheaply. Both are pure optimizations:
-// the engine probes for them with type assertions and falls back to
-// the ordinary NewClient/Walk machinery, and every capability carries a
-// bit-identity obligation that the differential tests enforce.
+// implement to let the request engine (internal/core) serve huge request
+// populations cheaply. Both are pure optimizations: the engine probes
+// for them with type assertions and falls back to the ordinary
+// NewClient/Walk machinery, and every capability carries a bit-identity
+// obligation that the differential tests enforce.
 
 // Resolver is an optional Broadcast capability: answer a clean,
 // single-channel query in closed form. Resolve must return exactly the
@@ -25,7 +25,8 @@ import (
 // finish in seconds.
 // The capability is
 // only consulted on perfect single-channel runs; faults and
-// multichannel allocations always walk.
+// multichannel allocations always walk, and a declined query walks
+// too.
 type Resolver interface {
 	Resolve(key uint64, arrival sim.Time) (Result, bool)
 }
@@ -34,8 +35,8 @@ type Resolver interface {
 // machine to its initial state for a new key, so a long-lived engine
 // can reuse one client allocation across millions of requests. After
 // c.Rewind(key), c must behave exactly like a fresh NewClient(key) —
-// the engine's client-arena reuse and the recovery walkers' restart
-// path both rely on that equivalence.
+// the engine's one client per stream, rewound for every walked request
+// and every restart, relies on that equivalence.
 type Rewinder interface {
 	Rewind(key uint64)
 }

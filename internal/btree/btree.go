@@ -220,6 +220,16 @@ func Ancestors(n *Node) []*Node {
 	return out
 }
 
+// AncestorAt returns n's ancestor at the given level (level 0 is the
+// root), or n itself when level is not above it.
+func AncestorAt(n *Node, level int) *Node {
+	a := n
+	for a.Level > level {
+		a = a.Parent
+	}
+	return a
+}
+
 // Subtree returns the nodes of n's subtree in preorder.
 func Subtree(n *Node) []*Node {
 	var out []*Node

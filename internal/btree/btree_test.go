@@ -157,6 +157,14 @@ func TestAncestors(t *testing.T) {
 	if len(Ancestors(tr.Root)) != 0 {
 		t.Fatal("root has no ancestors")
 	}
+	for l, a := range anc {
+		if got := AncestorAt(leaf, l); got != a {
+			t.Fatalf("AncestorAt(leaf, %d) is not the level-%d ancestor", l, l)
+		}
+	}
+	if AncestorAt(leaf, leaf.Level) != leaf {
+		t.Fatal("AncestorAt at the node's own level must be the node")
+	}
 }
 
 func TestSubtree(t *testing.T) {

@@ -1,15 +1,7 @@
-// Package cohort implements the columnar request engine's batch state: a
-// struct-of-arrays ("SoA") layout in which one in-flight request occupies
-// lane i of every column, and batched kernels advance a whole cohort of
-// requests against the immutable broadcast cycle in one call.
-//
-// Resolving each request separately through the access.Walk family pays
-// per-request interface plumbing, a Result struct, and error-path
-// bookkeeping; at paper scale (10⁶ clients) that plumbing dominates. The
-// request engine (internal/core) instead pre-draws a round's worth of
-// (arrival, key) pairs into the Arrival/Key columns — in the RNG order a
-// one-request-at-a-time loop would use — and then advances every lane
-// with one of two kernels:
+// Package cohort implements a struct-of-arrays ("SoA") request batch:
+// one request occupies lane i of every column, and two kernels advance
+// a whole cohort of requests against the immutable broadcast cycle in
+// one call:
 //
 //   - ResolveLanes, when the broadcast implements access.Resolver:
 //     the whole walk collapses to closed-form arithmetic per lane
@@ -19,20 +11,22 @@
 //     driving the per-lane protocol state machines (the Clients column)
 //     with no closures or allocations on the hot path.
 //
+// The request engine (internal/core) does not use this package: it
+// serves each request in one loop that resolves or walks lane by lane.
+// The committed benchmark's probes (bench/probes.go) still time these
+// kernels against access.Walk, so the package stays, with its tests and
+// the FuzzResolverMatchesWalk target, until that benchmark may change.
+//
 // Lanes of a clean single-channel batch share no mutable state — the
 // channel is immutable and each client is private to its lane — so the
 // kernels may process lanes in any order; they use lane-major order
-// (each lane to completion) because it is cache-optimal and equals
-// arrival order anyway. Paths with shared per-stream
-// state (fault injection's corruption counter, multichannel recovery)
-// are driven lane-by-lane in arrival order by internal/core using the
-// ordinary walkers, filling the same result columns.
+// (each lane to completion), which equals arrival order.
 //
 // The Batch is an arena: Reset reslices the columns for the next round
 // without freeing, and the Clients column persists across rounds so
 // rewindable schemes (access.Rewinder) reuse one client allocation per
-// lane for the whole run. Steady-state batch advance performs zero heap
-// allocations (see alloc_test.go).
+// lane. Steady-state batch advance performs zero heap allocations (see
+// alloc_test.go).
 package cohort
 
 import (
@@ -64,11 +58,13 @@ type Batch struct {
 	// Key is the requested record key.
 	Key []uint64
 
-	// State is the per-lane lifecycle tag.
+	// State is the per-lane lifecycle tag. Only the kernels below set
+	// it, and only the benchmark's probes read it.
 	State []LaneState
 	// Clients holds each lane's protocol state machine for the stepped
 	// kernel. The column persists across Reset so that rewindable
-	// clients are reused; internal/core primes it before each batch.
+	// clients are reused; the caller (the benchmark's probes) primes it
+	// before AdvanceClean.
 	Clients []access.Client
 
 	// Result columns, valid once State is LaneDone.
@@ -76,20 +72,21 @@ type Batch struct {
 	Tuning []units.ByteCount
 	Probes []int
 	Found  []bool
-	// Fault/multichannel accounting, filled by the lane-ordered walker
-	// paths; the clean kernels leave them zero.
+	// Fault/multichannel accounting columns; the clean kernels leave
+	// them zero.
 	Restarts    []int
 	Wasted      []units.ByteCount
 	Unrecovered []bool
 	Switches    []int
 	SwitchWait  []units.ByteCount
 
-	// AccessF/TuningF/EnergyF/ProbesF are float scratch columns for the
+	// AccessF/TuningF/EnergyF/ProbesF are float scratch columns for a
 	// bulk stats fold (stats.Sample.AddAll), sized with the batch.
 	AccessF, TuningF, EnergyF, ProbesF []float64
 
 	// FailLane and Err describe the first failed lane when AdvanceClean
-	// aborts: its index and the walker's error.
+	// aborts: its index and the walker's error. The engine never reads
+	// them; a walk error reaches Simulator.Run directly.
 	FailLane int
 	Err      error
 }
@@ -171,6 +168,8 @@ func (b *Batch) grow(n int) {
 // fall back to the stepped kernel; lanes already resolved stay LaneDone
 // and are skipped there. The resolver's bit-identity obligation
 // (access.Resolver) makes the two kernels interchangeable per lane.
+// Only the benchmark's probes call it; the request engine calls the
+// resolver lane by lane itself.
 //
 //airlint:hotpath
 func (b *Batch) ResolveLanes(r access.Resolver) bool {
@@ -196,7 +195,8 @@ func (b *Batch) ResolveLanes(r access.Resolver) bool {
 // column. maxSteps <= 0 selects access.DefaultMaxSteps. It returns false
 // if a lane failed, with FailLane and Err set and later lanes left
 // pending (lanes are independent, and the run stops on the first walk
-// error anyway).
+// error anyway). Only the benchmark's probes call it; the request
+// engine walks its lanes through the recovery walkers.
 //
 //airlint:hotpath
 func (b *Batch) AdvanceClean(ch *channel.Channel, maxSteps int) bool {

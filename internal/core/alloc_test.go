@@ -50,3 +50,46 @@ func TestRecoveryWalkAllocFree(t *testing.T) {
 		}
 	}
 }
+
+// TestRoundAllocFree: once a stream has served its first round, a whole
+// round — key and arrival draws, every lane resolved or walked, the
+// counter folds and the bulk sample folds — allocates nothing. Every
+// registered scheme is checked on a perfect channel (where the
+// resolver schemes resolve), under drop faults with bounded retries,
+// and on four channels.
+func TestRoundAllocFree(t *testing.T) {
+	settings := []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"clean", func(*Config) {}},
+		{"drop", func(c *Config) {
+			c.Faults = faults.FromRate(faults.ModelDrop, 0.2)
+			c.Faults.MaxRetries = 50
+		}},
+		{"K=4", func(c *Config) { c.Multi = multichannel.Config{Channels: 4} }},
+	}
+	for _, scheme := range SchemeNames() {
+		for _, set := range settings {
+			cfg := smallConfig(scheme, 300)
+			set.set(&cfg)
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := s.newStream(0, 1)
+			round := func() {
+				if err := s.round(st); err != nil {
+					t.Fatal(err)
+				}
+			}
+			round() // the first round builds the stream's client
+			if avg := testing.AllocsPerRun(20, round); avg != 0 {
+				t.Errorf("%s %s: a round allocates %v times, want 0", scheme, set.name, avg)
+			}
+			if st.done || st.rounds != 22 {
+				t.Errorf("%s %s: %d full rounds served (done %v), want 22; the measured rounds were not full", scheme, set.name, st.rounds, st.done)
+			}
+		}
+	}
+}

@@ -11,7 +11,7 @@ import (
 )
 
 // addResult folds one completed request into the accumulator, the
-// reference for foldCohort's bulk fold: Welford and P² updates are
+// reference for the folds of round and lane: Welford and P² updates are
 // order-sensitive, so the field order here is part of the determinism
 // contract.
 func (a *shardAccum) addResult(r *access.MultiResult, dozeRatio float64) {

@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"github.com/airindex/airindex/internal/access"
-	"github.com/airindex/airindex/internal/cohort"
 	"github.com/airindex/airindex/internal/faults"
 	"github.com/airindex/airindex/internal/sim"
 	"github.com/airindex/airindex/internal/stats"
@@ -24,7 +23,8 @@ import (
 // round per still-active stream — the driver merges the per-stream
 // samples (parallel Welford for moments, weighted marker-CDF merge for
 // the P² tails) and applies the stopping rule to the merged sample. A
-// stream serves its round as one batch (cohort.go).
+// stream serves its round in one loop over its requests, each of which
+// resolves in closed form or walks (cohort.go).
 //
 // Determinism: a stream's state is a pure function of (Seed, shard) and
 // the wave count, goroutines never touch another stream's state, and the
@@ -59,9 +59,9 @@ func newShardAccum() shardAccum {
 }
 
 // stream is one request stream's private slice of a run: its RNG
-// substream, arrival skew, fault substream, budget, accumulator and
-// batch arena. A wave's goroutine touches exactly one stream; the wave
-// barrier is the only synchronization.
+// substream, arrival skew, fault substream, budget, accumulator, round
+// columns and client. A wave's goroutine touches exactly one stream; the
+// wave barrier is the only synchronization.
 type stream struct {
 	rng    *sim.RNG
 	zipf   func() int       // nil for the uniform workload
@@ -72,12 +72,14 @@ type stream struct {
 
 	shardAccum
 
-	batch *cohort.Batch
-	// reuse is the stream's rewindable client for the lane-ordered
-	// walker paths; it stays nil when the scheme does not implement
+	// accessF, tuningF, energyF and probesF hold the round's float
+	// samples, lane i for the round's request i, for the bulk folds.
+	accessF, tuningF, energyF, probesF []float64
+	// reuse is the stream's one client, rewound for every walked lane
+	// and restart; it stays nil when the scheme does not implement
 	// access.Rewinder, in which case renew allocates fresh per call.
 	reuse  access.Client
-	curKey uint64
+	curKey uint64 // the key of the lane being served
 	renew  func() access.Client
 }
 
@@ -95,11 +97,13 @@ func (s *Simulator) newStream(i, n int) *stream {
 		inj:        s.newInjector(i),
 		budget:     int64(s.cfg.MaxRequests / n),
 		shardAccum: newShardAccum(),
-		batch:      cohort.New(),
 	}
 	if i < s.cfg.MaxRequests%n {
 		st.budget++
 	}
+	m := int(min(int64(s.cfg.RoundSize), st.budget))
+	f := make([]float64, 4*m)
+	st.accessF, st.tuningF, st.energyF, st.probesF = f[:m], f[m:2*m], f[2*m:3*m], f[3*m:]
 	if s.cfg.ZipfS > 1 {
 		st.zipf = rng.Zipf(s.cfg.ZipfS, s.ds.Len())
 	}

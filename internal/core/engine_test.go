@@ -91,67 +91,57 @@ func TestFourShardsAgreeWithinAccuracy(t *testing.T) {
 
 // TestShardedDeterministicAcrossGOMAXPROCS pins the determinism contract:
 // for a fixed (seed, shards) pair the Result is bit-identical however
-// many OS threads schedule the stream goroutines, and across repeat runs,
-// under either accepted Config.Engine value.
+// many OS threads schedule the stream goroutines, and across repeat runs.
 func TestShardedDeterministicAcrossGOMAXPROCS(t *testing.T) {
-	for _, engine := range []string{EngineEvents, EngineCohort} {
-		t.Run(engine, func(t *testing.T) {
-			cfg := smallConfig("distributed", 300)
-			cfg.Shards = 4
-			cfg.Engine = engine
-			prev := runtime.GOMAXPROCS(1)
-			defer runtime.GOMAXPROCS(prev)
-			narrow, err := RunOne(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			runtime.GOMAXPROCS(8)
-			wide, err := RunOne(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			repeat, err := RunOne(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(narrow, wide) {
-				t.Fatalf("GOMAXPROCS changed the sharded result:\n1: %+v\n8: %+v", narrow, wide)
-			}
-			if !reflect.DeepEqual(wide, repeat) {
-				t.Fatal("repeat sharded run differed")
-			}
-		})
+	cfg := smallConfig("distributed", 300)
+	cfg.Shards = 4
+	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(prev)
+	narrow, err := RunOne(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GOMAXPROCS(8)
+	wide, err := RunOne(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	repeat, err := RunOne(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(narrow, wide) {
+		t.Fatalf("GOMAXPROCS changed the sharded result:\n1: %+v\n8: %+v", narrow, wide)
+	}
+	if !reflect.DeepEqual(wide, repeat) {
+		t.Fatal("repeat sharded run differed")
 	}
 }
 
 // TestRunIdempotent: a Simulator keeps no state between runs — every
 // stream is rebuilt from (Seed, shard) — so calling Run twice on one
-// instance returns identical Results at any shard count, under either
-// accepted Config.Engine value.
+// instance returns identical Results at any shard count.
 func TestRunIdempotent(t *testing.T) {
-	for _, engine := range []string{EngineEvents, EngineCohort} {
-		for _, shards := range []int{1, 2} {
-			t.Run(fmt.Sprintf("%s/shards=%d", engine, shards), func(t *testing.T) {
-				cfg := smallConfig("distributed", 300)
-				cfg.Engine = engine
-				cfg.Shards = shards
-				s, err := New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				first, err := s.Run()
-				if err != nil {
-					t.Fatal(err)
-				}
-				second, err := s.Run()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(first, second) {
-					t.Fatalf("second Run on the same Simulator differed:\nfirst:  %+v\nsecond: %+v", first, second)
-				}
-			})
-		}
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			cfg := smallConfig("distributed", 300)
+			cfg.Shards = shards
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			first, err := s.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			second, err := s.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(first, second) {
+				t.Fatalf("second Run on the same Simulator differed:\nfirst:  %+v\nsecond: %+v", first, second)
+			}
+		})
 	}
 }
 

@@ -69,6 +69,9 @@ type Simulator struct {
 	ds  *datagen.Dataset
 	bc  access.Broadcast
 	set *multichannel.Set // K-channel allocation; nil on the single-channel path
+	// resolver answers lanes in closed form. It is set only on the one
+	// geometry access.Resolver is defined for: a single perfect channel.
+	resolver access.Resolver
 }
 
 // New validates the configuration, generates the data source and builds
@@ -111,6 +114,9 @@ func NewOn(ds *datagen.Dataset, cfg Config) (*Simulator, error) {
 			return nil, err
 		}
 		s.set = set
+	}
+	if r, ok := bc.(access.Resolver); ok && s.set == nil && !cfg.Faults.Enabled() {
+		s.resolver = r
 	}
 	return s, nil
 }

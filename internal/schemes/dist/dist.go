@@ -151,7 +151,7 @@ func Build(ds *datagen.Dataset, opts Options) (*Broadcast, error) {
 		n := ib.Node
 		ib.NextSeg = b.nextSeg[ib.Seq]
 		for l := 0; l < n.Level; l++ {
-			ib.Ctrl = append(ib.Ctrl, b.nextInstance(ancestorAt(n, l), ib.Seq))
+			ib.Ctrl = append(ib.Ctrl, b.nextInstance(btree.AncestorAt(n, l), ib.Seq))
 		}
 		if n.IsLeaf() {
 			for e := 0; e < len(n.Keys); e++ {
@@ -194,15 +194,6 @@ func (b *Broadcast) nextInstance(n *btree.Node, pos int) int {
 		return inst[0]
 	}
 	return inst[j]
-}
-
-// ancestorAt returns n's ancestor at the given level.
-func ancestorAt(n *btree.Node, level int) *btree.Node {
-	a := n
-	for a.Level > level {
-		a = a.Parent
-	}
-	return a
 }
 
 // OptimalR returns the replication depth minimizing the expected access

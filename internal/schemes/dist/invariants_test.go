@@ -4,6 +4,7 @@ import (
 	"sort"
 	"testing"
 
+	"github.com/airindex/airindex/internal/btree"
 	"github.com/airindex/airindex/internal/datagen"
 	"github.com/airindex/airindex/internal/schemes/treeidx"
 	"github.com/airindex/airindex/internal/units"
@@ -77,7 +78,7 @@ func checkPointers(t *testing.T, ds *datagen.Dataset, b *Broadcast) {
 			t.Fatalf("bucket %d has %d ctrl pointers for level %d", i, len(ib.Ctrl), node.Level)
 		}
 		for l, target := range ib.Ctrl {
-			anc := ancestorAt(node, l)
+			anc := btree.AncestorAt(node, l)
 			if b.nodeOf[target] != anc {
 				t.Fatalf("bucket %d ctrl[%d] -> bucket %d holds the wrong node", i, l, target)
 			}

@@ -149,7 +149,7 @@ func Build(ds *datagen.Dataset, opts Options) (*Broadcast, error) {
 		// the same copy; its next occurrence is in the NEXT copy.
 		base := b.copyBase[(s+1)%m]
 		for l := 0; l < ib.Node.Level; l++ {
-			anc := ancestorAt(ib.Node, l)
+			anc := btree.AncestorAt(ib.Node, l)
 			ib.Ctrl = append(ib.Ctrl, base+anc.ID)
 		}
 		// Local index: children live in the same copy (preorder, ahead of
@@ -174,15 +174,6 @@ func Build(ds *datagen.Dataset, opts Options) (*Broadcast, error) {
 	}
 	b.ch = ch
 	return b, nil
-}
-
-// ancestorAt returns n's ancestor at the given level (level < n.Level).
-func ancestorAt(n *btree.Node, level int) *btree.Node {
-	a := n
-	for a.Level > level {
-		a = a.Parent
-	}
-	return a
 }
 
 // OptimalM returns the m minimizing expected access time for nr records
